@@ -8,7 +8,6 @@ verdict false, 2 for usage, parse, or precondition errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -37,6 +36,7 @@ from .family_io import (
     format_float,
     load_family,
     load_lineset,
+    read_json,
     save_family,
     save_lineset,
 )
@@ -290,7 +290,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    doc = _load_json(args.problem)
+    doc = read_json(args.problem)
     problem = PackingProblem.from_dict(doc, default_seed=_default_seed())
     result = solve(problem)
     out = Path(args.out) if args.out else Path(args.problem).with_suffix(".result.json")
@@ -334,15 +334,6 @@ def cmd_lines_catalog(args) -> int:
                 f"size {entry['size']:<6} |cos| = {entry['common_cos']}"
             )
     return 0
-
-
-def _load_json(path):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise GrasspackError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:
-        raise GrasspackError(f"{path} is not valid JSON: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

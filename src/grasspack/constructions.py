@@ -11,16 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import AngleZeroError, DimensionMismatchError, NotEquiangularError
-from .grassmann import Subspace, complement, projection_matrix, sign_fix_columns
-from .linalg import DEFAULT_TOL, determinant
-
-# Pairwise projector scans for the distinctness invariant stop paying for
-# themselves beyond desk scale; larger families are trusted by construction.
-_DISTINCTNESS_SCAN_LIMIT = 256
+from .grassmann import Subspace, complement, sign_fix_columns
+from .linalg import DEFAULT_TOL
 
 
 def _sign_fix_rows(vectors: np.ndarray) -> np.ndarray:
@@ -115,12 +112,22 @@ class SubspaceFamily:
                     f"family member in Gr({member.k},{member.n}) does not match "
                     f"Gr({self.k},{self.n})"
                 )
-        if not self.allow_duplicates and 2 <= len(members) <= _DISTINCTNESS_SCAN_LIMIT:
-            projectors = [projection_matrix(m) for m in members]
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    if float(np.max(np.abs(projectors[i] - projectors[j]))) <= DEFAULT_TOL.eps_orth:
-                        raise ValueError(f"family members {i} and {j} coincide")
+        if not self.allow_duplicates and len(members) >= 2:
+            # Members coincide when their projectors agree entrywise; one row
+            # of pairs (member i against every later member) at a time.
+            projectors = self.reps @ np.swapaxes(self.reps, -1, -2)
+            for i in range(len(members) - 1):
+                gaps = np.abs(projectors[i] - projectors[i + 1 :]).max(axis=(-2, -1))
+                hits = np.flatnonzero(gaps <= DEFAULT_TOL.eps_orth)
+                if hits.size:
+                    raise ValueError(f"family members {i} and {i + 1 + hits[0]} coincide")
+
+    @cached_property
+    def reps(self) -> np.ndarray:
+        """The (m, n, k) stack of member representatives."""
+        return np.array([member.rep for member in self.members]).reshape(
+            len(self.members), self.n, self.k
+        )
 
     def __len__(self) -> int:
         return len(self.members)
@@ -235,12 +242,8 @@ def plucker_embed(u: Subspace) -> np.ndarray:
     vector of length binom(n, k) and <phi(U), phi(V)> = det(U^T V) by
     Cauchy-Binet.
     """
-    rep = np.asarray(u.rep)
-    coords = [
-        determinant(rep[list(rows), :])
-        for rows in itertools.combinations(range(u.n), u.k)
-    ]
-    return np.array(coords)
+    rows = np.array(list(itertools.combinations(range(u.n), u.k)))
+    return np.linalg.det(u.rep[rows])
 
 
 def plucker_line_family(family: SubspaceFamily, tol: float = 1e-8) -> LineSet:

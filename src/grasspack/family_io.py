@@ -219,17 +219,18 @@ def parse_lineset_doc(doc, equiangular_tol: float = 1e-8) -> LineSet:
     return LineSet.from_vectors(np.array(vectors), tol=equiangular_tol)
 
 
-def load_doc(path) -> dict:
-    path = Path(path)
+def read_json(path):
+    """Parsed JSON content of a file; ParseError when unreadable or not JSON."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
-    return _validate_doc(doc)
+
+
+def load_doc(path) -> dict:
+    return _validate_doc(read_json(path))
 
 
 def load_family(path, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceFamily:

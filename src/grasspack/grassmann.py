@@ -1,8 +1,11 @@
-"""Subspaces of R^n and the principal-angle machinery.
+"""Subspaces of R^n and the batched principal-angle kernel.
 
-A subspace is held as an orthonormal n x k representative matrix; all angle
-computations reduce to singular values of the k x k cross-Gram U^T V, with a
-slower recursive-maximization route kept as an independent structural check.
+A subspace is held as an orthonormal n x k representative matrix.  Every
+angle computation goes through `spectra`, which takes whole stacks of
+representatives at once: the cosines are the singular values of the k x k
+cross-Grams U^T V, the sines those of the residuals V - U U^T V, and each
+angle is read from whichever of the two resolves it to full accuracy
+(Bjorck & Golub 1973; Knyazev & Argentati 2002).
 """
 
 from __future__ import annotations
@@ -11,16 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FullDimensionError
-from .linalg import (
-    DEFAULT_TOL,
-    TolerancePolicy,
-    as_matrix,
-    clamp_unit_interval,
-    jacobi_svd,
-    orthonormalize,
-    singular_values,
-)
+from .errors import ClampError, DimensionMismatchError, FullDimensionError
+from .linalg import CLAMP_SLACK, DEFAULT_TOL, TolerancePolicy, as_matrix, orthonormalize
 
 # Entries below this are treated as zero when picking the sign-convention pivot.
 _SIGN_PIVOT_TOL = 1e-10
@@ -85,72 +80,32 @@ def require_same_grassmannian(u: Subspace, v: Subspace) -> None:
         )
 
 
+def spectra(a, b) -> np.ndarray:
+    """Principal angles in radians, ascending, of every pair in two stacks.
+
+    `a` and `b` are (..., n, k) stacks of orthonormal representatives that
+    broadcast against each other; the result has shape (..., k).  Angles
+    below pi/4 are the arcsines of the singular values of B - A (A^T B),
+    which keep full relative accuracy down to the smallest angles; the rest
+    are the arccosines of the singular values of A^T B.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    cross = np.swapaxes(a, -1, -2) @ b
+    cos = np.linalg.svd(cross, compute_uv=False)  # descending: angles ascending
+    if np.any(cos > 1.0 + CLAMP_SLACK):
+        raise ClampError(f"cosine {float(cos.max())!r} is too far above 1 to be roundoff")
+    sin = np.linalg.svd(b - a @ cross, compute_uv=False)[..., ::-1]
+    small = cos > np.sqrt(0.5)
+    return np.where(small, np.arcsin(np.minimum(sin, 1.0)), np.arccos(np.minimum(cos, 1.0)))
+
+
 def principal_angles(
     u: Subspace, v: Subspace, tol: TolerancePolicy = DEFAULT_TOL
 ) -> np.ndarray:
-    """Principal angles in radians, ascending, via singular values of U^T V."""
+    """Principal angles in radians, ascending, between two subspaces."""
     require_same_grassmannian(u, v)
-    sig = singular_values(u.rep.T @ v.rep, tol)
-    return np.array([np.arccos(clamp_unit_interval(s)) for s in sig])
-
-
-def principal_angles_recursive(
-    u: Subspace, v: Subspace, tol: TolerancePolicy = DEFAULT_TOL
-) -> np.ndarray:
-    """Principal angles by recursive maximization (slow; test oracle).
-
-    Each step takes the top singular pair of the current cross-Gram matrix --
-    the exact maximizer of <u, v> over unit vectors in the two subspaces --
-    records its angle, and deflates both subspaces to the orthogonal
-    complements of the maximizers.
-    """
-    require_same_grassmannian(u, v)
-    basis_u = np.array(u.rep)
-    basis_v = np.array(v.rep)
-    angles: list[float] = []
-    while basis_u.shape[1] > 0:
-        left, sig, right = jacobi_svd(basis_u.T @ basis_v, tol)
-        top = float(sig[0])
-        if top <= 1e-13:
-            # remaining directions are pairwise orthogonal
-            angles.extend([np.pi / 2.0] * basis_u.shape[1])
-            break
-        angles.append(float(np.arccos(clamp_unit_interval(top))))
-        if basis_u.shape[1] == 1:
-            break
-        basis_u = _deflate(basis_u, basis_u @ left[:, 0])
-        basis_v = _deflate(basis_v, basis_v @ right[:, 0])
-    return np.sort(np.array(angles))
-
-
-def _deflate(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the complement of unit vector w inside span(basis)."""
-    coeff = basis.T @ w  # unit vector in the basis coordinates
-    inner = _complete_basis(coeff.reshape(-1, 1), np.eye(basis.shape[1]))
-    return basis @ inner
-
-
-def _complete_basis(
-    seed: np.ndarray, extra: np.ndarray, drop_tol: float = 1e-8
-) -> np.ndarray:
-    """Columns extending the orthonormal `seed` block to span seed + extra.
-
-    Runs modified Gram-Schmidt over the `extra` columns against the seed and
-    previously accepted columns, skipping the ones that turn out dependent.
-    """
-    found = [seed[:, j].copy() for j in range(seed.shape[1])]
-    new: list[np.ndarray] = []
-    for j in range(extra.shape[1]):
-        col = extra[:, j].astype(float).copy()
-        for _ in range(2):
-            for q in found:
-                col -= (q @ col) * q
-        norm = float(np.linalg.norm(col))
-        if norm > drop_tol:
-            col /= norm
-            found.append(col)
-            new.append(col)
-    return np.column_stack(new) if new else np.zeros((seed.shape[0], 0))
+    return spectra(u.rep, v.rep)
 
 
 def projection_matrix(u: Subspace) -> np.ndarray:
@@ -159,15 +114,13 @@ def projection_matrix(u: Subspace) -> np.ndarray:
 
 
 def complement(u: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
-    """Orthogonal complement in Gr(n-k, n)."""
+    """Orthogonal complement in Gr(n-k, n): the trailing left singular vectors."""
     if u.k == u.n:
         raise FullDimensionError(
             f"subspace fills R^{u.n}; its complement is the zero space"
         )
-    ext = _complete_basis(np.asarray(u.rep), np.eye(u.n))
-    if ext.shape[1] != u.n - u.k:
-        raise RuntimeError("complement basis completion lost rank")
-    return Subspace(sign_fix_columns(ext))
+    left = np.linalg.svd(u.rep, full_matrices=True)[0]
+    return Subspace(sign_fix_columns(left[:, u.k :]))
 
 
 def nonzero_angles(spectrum: np.ndarray, eps_angle: float) -> np.ndarray:

@@ -1,10 +1,9 @@
-"""Dense linear-algebra kernels shared by every other module.
+"""Tolerances, input validation and thin wrappers over numpy's LAPACK.
 
-Everything operates on plain float64 numpy arrays.  The decompositions are
-hand-rolled (modified Gram-Schmidt, cyclic Jacobi for symmetric eigenvalues,
-one-sided Jacobi for the SVD, partially pivoted LU for determinants): the
-matrices here stay below a few hundred rows, where robustness and exact
-reproducibility matter more than speed.
+Everything operates on plain float64 numpy arrays.  The decompositions
+(QR, symmetric eigenvalues, SVD, LU determinant) are LAPACK's, reached
+through numpy; the wrappers here add the package's conventions: validated
+2-D input, descending order, sign-fixed QR factors and typed errors.
 """
 
 from __future__ import annotations
@@ -54,179 +53,53 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def clamp_unit_interval(x: float, slack: float = CLAMP_SLACK) -> float:
-    """Clamp to [0, 1]; excursions beyond `slack` are hard errors, not roundoff."""
-    x = float(x)
-    if x < -slack or x > 1.0 + slack:
-        raise ClampError(f"value {x!r} is too far outside [0, 1] to be roundoff")
-    return min(max(x, 0.0), 1.0)
+def clamp_unit_interval(x, slack: float = CLAMP_SLACK):
+    """Clamp to [0, 1] elementwise; excursions beyond `slack` are hard errors."""
+    x = np.asarray(x, dtype=float)
+    outside = (x < -slack) | (x > 1.0 + slack)
+    if np.any(outside):
+        bad = float(x[outside][0])
+        raise ClampError(f"value {bad!r} is too far outside [0, 1] to be roundoff")
+    return np.clip(x, 0.0, 1.0)
 
 
 def orthonormalize(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the column span of `a` via modified Gram-Schmidt.
+    """Orthonormal basis of the column span of `a`: the Q of a QR with diag R > 0.
 
     Column order (hence span and leading signs) is preserved.  Raises
     RankDeficientError when a column collapses onto the span of its
-    predecessors.
+    predecessors, i.e. |R_jj| <= eps_orth * max(1, |a_j|).
     """
-    q = as_matrix(a).copy()
-    n, k = q.shape
+    m = as_matrix(a)
+    n, k = m.shape
     if k > n:
         raise RankDeficientError(f"{k} columns cannot be independent in R^{n}")
-    for j in range(k):
-        norm0 = float(np.linalg.norm(q[:, j]))
-        # second projection pass mops up cancellation ("twice is enough")
-        for _ in range(2):
-            for i in range(j):
-                q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]
-        norm = float(np.linalg.norm(q[:, j]))
-        if norm <= tol.eps_orth * max(1.0, norm0):
-            raise RankDeficientError(f"column {j} is numerically dependent")
-        q[:, j] /= norm
-    return q
+    q, r = np.linalg.qr(m)
+    diag = np.diag(r)
+    dependent = np.abs(diag) <= tol.eps_orth * np.maximum(1.0, np.linalg.norm(m, axis=0))
+    if np.any(dependent):
+        raise RankDeficientError(f"column {int(np.argmax(dependent))} is numerically dependent")
+    return q * np.sign(diag)
 
 
-def jacobi_eigh(
-    s, tol: TolerancePolicy = DEFAULT_TOL, max_sweeps: int = 60
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues descending, eigenvectors as matching columns).
-    """
+def symmetric_eigenvalues(s, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, sorted descending."""
     a = as_matrix(s)
     if a.shape[0] != a.shape[1]:
         raise NotSymmetricError(f"matrix is not square: {a.shape}")
     if float(np.max(np.abs(a - a.T))) > tol.eps_orth:
         raise NotSymmetricError("matrix is not symmetric within eps_orth")
-    a = 0.5 * (a + a.T)  # fold roundoff asymmetry before rotating
-    k = a.shape[0]
-    v = np.eye(k)
-    stop = np.finfo(float).eps * max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps):
-        off = a - np.diag(np.diag(a))
-        if float(np.max(np.abs(off))) <= stop:
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = a[p, q]
-                if abs(apq) <= stop:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + float(np.hypot(1.0, tau)))
-                c = 1.0 / float(np.hypot(1.0, t))
-                sn = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - sn * col_q
-                a[:, q] = sn * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - sn * row_q
-                a[q, :] = sn * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - sn * vec_q
-                v[:, q] = sn * vec_p + c * vec_q
-    w = np.diag(a).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
-
-
-def symmetric_eigenvalues(s, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, sorted descending."""
-    w, _ = jacobi_eigh(s, tol)
-    return w
-
-
-def jacobi_svd(
-    a, tol: TolerancePolicy = DEFAULT_TOL, max_sweeps: int = 60
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-sided Jacobi SVD of `a` with rows >= cols.
-
-    Returns (u, singular values descending, v) with a = u @ diag(s) @ v.T;
-    columns of u belonging to zero singular values are left as zeros.
-    """
-    w = as_matrix(a).copy()
-    n, k = w.shape
-    if n < k:
-        raise ValueError("jacobi_svd expects rows >= cols; transpose the input")
-    v = np.eye(k)
-    delta = 1e-15
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                wp, wq = w[:, p].copy(), w[:, q].copy()
-                alpha = float(wp @ wp)
-                beta = float(wq @ wq)
-                gamma = float(wp @ wq)
-                if alpha == 0.0 or beta == 0.0:
-                    continue
-                if abs(gamma) <= delta * np.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                if zeta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(zeta) / (abs(zeta) + float(np.hypot(1.0, zeta)))
-                c = 1.0 / float(np.hypot(1.0, t))
-                sn = t * c
-                w[:, p] = c * wp - sn * wq
-                w[:, q] = sn * wp + c * wq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - sn * vq
-                v[:, q] = sn * vp + c * vq
-        if not rotated:
-            break
-    sig = np.sqrt(np.sum(w * w, axis=0))
-    order = np.argsort(-sig, kind="stable")
-    sig = sig[order]
-    w = w[:, order]
-    v = v[:, order]
-    u = np.zeros_like(w)
-    for j in range(k):
-        if sig[j] > 0.0:
-            u[:, j] = w[:, j] / sig[j]
-    return u, sig, v
+    return np.linalg.eigvalsh(0.5 * (a + a.T))[::-1]
 
 
 def singular_values(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Singular values of `a`, sorted descending (min(rows, cols) of them)."""
-    m = as_matrix(a)
-    if m.shape[0] < m.shape[1]:
-        m = m.T
-    _, sig, _ = jacobi_svd(m, tol)
-    return sig
+    return np.linalg.svd(as_matrix(a), compute_uv=False)
 
 
 def determinant(a) -> float:
-    """Determinant: closed-form cofactors for k <= 3, pivoted LU beyond."""
+    """Determinant of a square matrix (LAPACK LU)."""
     m = as_matrix(a)
-    k = m.shape[0]
-    if m.shape[1] != k:
+    if m.shape[0] != m.shape[1]:
         raise ValueError(f"determinant needs a square matrix, got {m.shape}")
-    if k == 1:
-        return float(m[0, 0])
-    if k == 2:
-        return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    if k == 3:
-        return float(
-            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-        )
-    lu = m.copy()
-    det = 1.0
-    for j in range(k):
-        piv = j + int(np.argmax(np.abs(lu[j:, j])))
-        if lu[piv, j] == 0.0:
-            return 0.0
-        if piv != j:
-            lu[[j, piv], :] = lu[[piv, j], :]
-            det = -det
-        det *= lu[j, j]
-        factor = lu[j + 1 :, j] / lu[j, j]
-        lu[j + 1 :, j:] -= np.outer(factor, lu[j, j:])
-    return float(det)
+    return float(np.linalg.det(m))

@@ -2,7 +2,9 @@
 
 Angle distances (theta_1, theta_F, theta_k) return one of the principal
 angles; chordal, geodesic and Fubini-Study are derived functions of the
-spectrum.  All evaluators are pure and symmetric in their arguments.
+spectrum.  Every evaluator reduces over the last axis, so one formula serves
+a single spectrum and a whole stack of them.  All are pure and symmetric in
+their two subspaces.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownMetricError
-from .grassmann import Subspace, principal_angles, require_same_grassmannian
-from .linalg import DEFAULT_TOL, TolerancePolicy, clamp_unit_interval, determinant
+from .grassmann import Subspace, require_same_grassmannian, spectra
+from .linalg import DEFAULT_TOL, TolerancePolicy, clamp_unit_interval
 
 
 @dataclass(frozen=True)
@@ -51,59 +53,47 @@ def get_metric(name) -> Metric:
     raise UnknownMetricError(f"unknown metric {name!r}; known: {known}")
 
 
-def theta_1(spectrum) -> float:
+def theta_1(spectrum):
     """Smallest principal angle (minimum angle between any pair of vectors)."""
-    return float(np.asarray(spectrum)[0])
+    return np.asarray(spectrum, dtype=float)[..., 0]
 
 
-def theta_F(spectrum, eps_angle: float = DEFAULT_TOL.eps_angle) -> float:
+def theta_F(spectrum, eps_angle: float = DEFAULT_TOL.eps_angle):
     """Smallest nonzero principal angle; 0 when all angles are numerically zero.
 
     The zero return covers U = V, where there is no nonzero angle to take the
     minimum over; this keeps theta_F a proper distance.
     """
     spectrum = np.asarray(spectrum, dtype=float)
-    nz = spectrum[spectrum > eps_angle]
-    return float(nz[0]) if nz.size else 0.0
+    nonzero = np.where(spectrum > eps_angle, spectrum, np.inf).min(axis=-1)
+    return np.where(np.isfinite(nonzero), nonzero, 0.0)[()]  # [()]: scalar for one spectrum
 
 
-def theta_k(spectrum) -> float:
+def theta_k(spectrum):
     """Largest principal angle."""
-    return float(np.asarray(spectrum)[-1])
+    return np.asarray(spectrum, dtype=float)[..., -1]
 
 
-def chordal(spectrum) -> float:
+def chordal(spectrum):
     """sqrt(sum of sin^2 theta_i)."""
-    spectrum = np.asarray(spectrum, dtype=float)
-    return float(np.sqrt(np.sum(np.sin(spectrum) ** 2)))
+    return np.sqrt(np.sum(np.sin(np.asarray(spectrum, dtype=float)) ** 2, axis=-1))
 
 
-def geodesic(spectrum) -> float:
+def geodesic(spectrum):
     """sqrt(sum of theta_i^2): Riemannian distance on the Grassmannian."""
-    spectrum = np.asarray(spectrum, dtype=float)
-    return float(np.sqrt(np.sum(spectrum**2)))
+    return np.sqrt(np.sum(np.asarray(spectrum, dtype=float) ** 2, axis=-1))
 
 
 def fubini_study(u: Subspace, v: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     """arccos|det(U^T V)|, computed in determinant form (no angle extraction)."""
     require_same_grassmannian(u, v)
-    return float(np.arccos(clamp_unit_interval(abs(determinant(u.rep.T @ v.rep)))))
+    return pair_distances(FUBINI_STUDY, u.rep, v.rep)
 
 
-def fubini_study_from_spectrum(spectrum) -> float:
+def fubini_study_from_spectrum(spectrum):
     """Product-of-cosines form of the Fubini-Study distance (cross-check route)."""
-    spectrum = np.asarray(spectrum, dtype=float)
-    return float(np.arccos(clamp_unit_interval(float(np.prod(np.cos(spectrum))))))
-
-
-def chordal_trace_form(u: Subspace, v: Subspace) -> float:
-    """sqrt(k - tr(V^T U U^T V)) trace form (cross-check route).
-
-    tr(V^T U U^T V) equals the squared Frobenius norm of U^T V.
-    """
-    require_same_grassmannian(u, v)
-    g = u.rep.T @ v.rep
-    return float(np.sqrt(max(float(u.k) - float(np.sum(g * g)), 0.0)))
+    cosines = np.prod(np.cos(np.asarray(spectrum, dtype=float)), axis=-1)
+    return np.arccos(clamp_unit_interval(cosines))
 
 
 _FROM_SPECTRUM = {
@@ -115,20 +105,28 @@ _FROM_SPECTRUM = {
 }
 
 
-def from_spectrum(
-    metric, spectrum, eps_angle: float = DEFAULT_TOL.eps_angle
-) -> float:
-    """Evaluate a metric on a precomputed angle spectrum."""
+def from_spectrum(metric, spectrum, eps_angle: float = DEFAULT_TOL.eps_angle):
+    """Evaluate a metric on a precomputed angle spectrum, or a (..., k) stack of them."""
     metric = get_metric(metric)
     if metric.id == "theta_F":
         return theta_F(spectrum, eps_angle)
     return _FROM_SPECTRUM[metric.id](spectrum)
 
 
+def pair_distances(metric, a, b, eps_angle: float = DEFAULT_TOL.eps_angle):
+    """Distances between paired members of two (..., n, k) representative stacks.
+
+    The stacks broadcast against each other.  Fubini-Study is read from a
+    batched determinant of the cross-Grams; every other metric from `spectra`.
+    """
+    metric = get_metric(metric)
+    if metric.id == "fubini_study":
+        cross = np.swapaxes(np.asarray(a, dtype=float), -1, -2) @ b
+        return np.arccos(clamp_unit_interval(np.abs(np.linalg.det(cross))))
+    return from_spectrum(metric, spectra(a, b), eps_angle)
+
+
 def evaluate(metric, u: Subspace, v: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     """Distance between two subspaces under `metric` (Metric, id, or CLI name)."""
-    metric = get_metric(metric)
     require_same_grassmannian(u, v)
-    if metric.id == "fubini_study":
-        return fubini_study(u, v, tol)
-    return from_spectrum(metric, principal_angles(u, v, tol), tol.eps_angle)
+    return pair_distances(metric, u.rep, v.rep, tol.eps_angle)

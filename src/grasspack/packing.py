@@ -17,8 +17,8 @@ import numpy as np
 from .constructions import SubspaceFamily
 from .errors import InvalidProblemError, RankDeficientError, UnknownMetricError
 from .grassmann import Subspace, sign_fix_columns
-from .linalg import DEFAULT_TOL, determinant, jacobi_svd, orthonormalize
-from .metrics import Metric, from_spectrum, get_metric
+from .linalg import DEFAULT_TOL, orthonormalize
+from .metrics import Metric, get_metric, pair_distances
 
 OBJECTIVES = ("maximin", "equiangular_variance")
 
@@ -127,25 +127,9 @@ class PackingResult:
 def _line_distance(metric_id: str):
     """k = 1 fast path: distance as a vectorized function of |<u, v>|."""
     if metric_id == "chordal":
-        return lambda c: np.sqrt(np.clip(1.0 - c * c, 0.0, None))
+        return lambda c: np.sqrt(np.maximum(1.0 - c * c, 0.0))
     # for lines every other registered metric reduces to the angle itself
-    return lambda c: np.arccos(np.clip(c, 0.0, 1.0))
-
-
-def _pair_fn(metric: Metric, k: int, eps_angle: float):
-    """General-k pair distance on raw (n, k) representatives."""
-    if metric.id == "fubini_study":
-        def fs(a, b):
-            return float(np.arccos(min(abs(determinant(a.T @ b)), 1.0)))
-
-        return fs
-
-    def general(a, b):
-        _, sig, _ = jacobi_svd(a.T @ b)
-        spectrum = np.arccos(np.clip(sig, 0.0, 1.0))
-        return from_spectrum(metric, spectrum, eps_angle)
-
-    return general
+    return lambda c: np.arccos(np.minimum(c, 1.0))
 
 
 def _run_restart(problem: PackingProblem, metric: Metric, restart: int):
@@ -163,16 +147,19 @@ def _run_restart(problem: PackingProblem, metric: Metric, restart: int):
     pos = [np.flatnonzero((iu == r) | (ju == r)) for r in range(m)]
     partner = [np.where(iu[p] == r, ju[p], iu[p]) for r, p in enumerate(pos)]
 
-    line_value = _line_distance(metric.id) if k == 1 else None
-    pair = _pair_fn(metric, k, DEFAULT_TOL.eps_angle) if k > 1 else None
-
     if k == 1:
-        def row_values(cand_flat, idx):
-            return line_value(np.abs(flat[partner[idx]] @ cand_flat))
+        line_value = _line_distance(metric.id)
+
+        def row_values(cand_flat, partners):
+            return line_value(np.abs(flat[partners] @ cand_flat))
     else:
-        def row_values(cand_flat, idx):
-            cand = cand_flat.reshape(n, k)
-            return np.array([pair(cand, flat[j].reshape(n, k)) for j in partner[idx]])
+        def row_values(cand_flat, partners):
+            return pair_distances(
+                metric,
+                cand_flat.reshape(n, k),
+                flat[partners].reshape(-1, n, k),
+                DEFAULT_TOL.eps_angle,
+            )
 
     def true_objective(values):
         return float(values.min()) if maximize else float(values.var())
@@ -181,7 +168,7 @@ def _run_restart(problem: PackingProblem, metric: Metric, restart: int):
         # maximized in both modes; soft-min sharpens into min as temp drops
         if maximize:
             lo = float(values.min())
-            return lo - math.log(float(np.sum(np.exp(-beta * (values - lo))))) / beta
+            return lo - math.log(float(np.exp(-beta * (values - lo)).sum())) / beta
         return -float(values.var())
 
     def schedule(start, final, i):
@@ -189,12 +176,8 @@ def _run_restart(problem: PackingProblem, metric: Metric, restart: int):
             return final
         return start * (final / start) ** (i / (iters - 1))
 
-    vals = np.empty(iu.size)
-    for t in range(iu.size):
-        if k == 1:
-            vals[t] = float(line_value(abs(float(flat[iu[t]] @ flat[ju[t]]))))
-        else:
-            vals[t] = pair(flat[iu[t]].reshape(n, k), flat[ju[t]].reshape(n, k))
+    # one row of pairs per member, in the (iu, ju) order of np.triu_indices
+    vals = np.concatenate([row_values(flat[i], np.arange(i + 1, m)) for i in range(m - 1)])
 
     best_value = true_objective(vals)
     best_flat = flat.copy()
@@ -209,7 +192,7 @@ def _run_restart(problem: PackingProblem, metric: Metric, restart: int):
         noise = rng.standard_normal((n, k))
         if k == 1:
             cand = flat[idx] + step * noise.ravel()
-            norm = float(np.linalg.norm(cand))
+            norm = math.sqrt(float(cand @ cand))
             if norm == 0.0:
                 continue
             cand = cand / norm
@@ -218,7 +201,7 @@ def _run_restart(problem: PackingProblem, metric: Metric, restart: int):
                 cand = orthonormalize(flat[idx].reshape(n, k) + step * noise).ravel()
             except RankDeficientError:
                 continue
-        new_row = row_values(cand, idx)
+        new_row = row_values(cand, partner[idx])
         if float(new_row.min()) < separation:
             continue
         new_vals = vals.copy()

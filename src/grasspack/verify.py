@@ -10,8 +10,8 @@ import numpy as np
 
 from .constructions import SubspaceFamily
 from .errors import AlphaZeroError, FamilyTooSmallError, NotOddPrimeError
-from .linalg import DEFAULT_TOL, TolerancePolicy, determinant
-from .metrics import evaluate, get_metric
+from .linalg import DEFAULT_TOL, TolerancePolicy
+from .metrics import get_metric, pair_distances
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,12 @@ def pairwise_distances(
 ) -> np.ndarray:
     """Condensed vector of pairwise distances in (i < j) lexicographic order."""
     metric = get_metric(metric)
-    members = family.members
-    out = []
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            out.append(evaluate(metric, members[i], members[j], tol))
-    return np.array(out)
+    reps = family.reps
+    rows = [
+        pair_distances(metric, reps[i], reps[i + 1 :], tol.eps_angle)
+        for i in range(len(reps) - 1)
+    ]
+    return np.concatenate([np.empty(0), *rows])
 
 
 def check_equiangular(
@@ -144,20 +144,22 @@ def check_equiisoclinic(family: SubspaceFamily, tol: float = 1e-8) -> Equiisocli
         raise FamilyTooSmallError(
             f"equi-isoclinicity needs at least 2 members, got {len(family)}"
         )
-    members = family.members
+    reps = family.reps
     k = family.k
-    products = []
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            g = members[i].rep.T @ members[j].rep
-            products.append(g.T @ g)
-    lam = float(np.mean([np.trace(p) / k for p in products]))
-    deviation = max(
-        float(np.max(np.abs(p - lam * np.eye(k)))) for p in products
-    )
+    m = len(reps)
+
+    def rows():
+        # V^T U U^T V for U = member i and V each later member, one row at a time
+        for i in range(m - 1):
+            cross = reps[i].T @ reps[i + 1 :]
+            yield np.swapaxes(cross, -1, -2) @ cross
+
+    pair_count = m * (m - 1) // 2
+    lam = sum(float(np.trace(p, axis1=-2, axis2=-1).sum()) for p in rows()) / (k * pair_count)
+    deviation = max(float(np.max(np.abs(p - lam * np.eye(k)))) for p in rows())
     return EquiisoclinicReport(
         lam=lam,
-        pair_count=len(products),
+        pair_count=pair_count,
         max_deviation=deviation,
         tolerance=tol,
         verdict=deviation <= tol,
@@ -188,14 +190,15 @@ def polynomial_certificate(
     lam = math.cos(alpha) ** 2
     target = (1.0 - lam) ** k
     m = len(family)
-    eye = np.eye(k)
-    projectors = [member.rep @ member.rep.T for member in family.members]
+    reps = family.reps
+    # U_i^T P_j U_i = C C^T with C = U_i^T U_j, so no n x n projector is built
+    shifts = lam * np.sum(reps * reps, axis=(1, 2)) / k  # lambda tr(P_j) / k
     eval_matrix = np.empty((m, m))
-    for i, member in enumerate(family.members):
-        ui = member.rep
-        for j, proj in enumerate(projectors):
-            shift = lam * float(np.trace(proj)) / k
-            eval_matrix[i, j] = determinant(ui.T @ proj @ ui - shift * eye)
+    for i in range(m):
+        cross = reps[i].T @ reps
+        eval_matrix[i] = np.linalg.det(
+            cross @ np.swapaxes(cross, -1, -2) - shifts[:, None, None] * np.eye(k)
+        )
     bound = bound_angle_distance(k, family.n)
     diag = np.diag(eval_matrix)
     max_diag_deviation = float(np.max(np.abs(diag - target)))

@@ -1,8 +1,10 @@
 """Independent oracles used by the tests.
 
-These deliberately avoid the package's own decompositions: eigenvalues come
-from characteristic-polynomial roots, determinants from cofactor expansion,
-and projectors from the normal equations.
+These deliberately avoid the package's own routes: eigenvalues come from
+characteristic-polynomial roots, determinants from cofactor expansion,
+projectors from the normal equations, principal angles from recursive
+maximization over symmetric eigenproblems (not the package's SVDs), and the
+chordal distance from its trace form.
 """
 
 import numpy as np
@@ -46,3 +48,51 @@ def projector_normal_equations(a: np.ndarray) -> np.ndarray:
     """Least-squares projector A (A^T A)^-1 A^T onto the column span of A."""
     a = np.asarray(a, dtype=float)
     return a @ np.linalg.solve(a.T @ a, a.T)
+
+
+def principal_angles_recursive(u, v) -> np.ndarray:
+    """Principal angles of two Subspaces by recursive maximization, ascending.
+
+    Each step takes the top singular pair of the current cross-Gram G -- the
+    exact maximizer of <x, y> over unit vectors in the two subspaces -- from
+    the top eigenvector of G^T G, records its angle, and deflates both
+    subspaces to the orthogonal complements of the maximizers.
+    """
+    basis_u = np.array(u.rep)
+    basis_v = np.array(v.rep)
+    angles: list[float] = []
+    while basis_u.shape[1] > 0:
+        gram = basis_u.T @ basis_v
+        w, vecs = np.linalg.eigh(gram.T @ gram)
+        top = float(np.sqrt(max(w[-1], 0.0)))
+        if top <= 1e-13:
+            # remaining directions are pairwise orthogonal
+            angles.extend([np.pi / 2.0] * basis_u.shape[1])
+            break
+        angles.append(float(np.arccos(min(top, 1.0))))
+        if basis_u.shape[1] == 1:
+            break
+        right = vecs[:, -1]
+        left = gram @ right / top
+        basis_u = _deflate(basis_u, left)
+        basis_v = _deflate(basis_v, right)
+    return np.sort(np.array(angles))
+
+
+def _deflate(basis: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the complement of basis @ coeff inside span(basis).
+
+    `coeff` is a unit vector in the basis coordinates; the trailing columns
+    of a complete QR of it span its orthogonal complement there.
+    """
+    q, _ = np.linalg.qr(coeff.reshape(-1, 1), mode="complete")
+    return basis @ q[:, 1:]
+
+
+def chordal_trace_form(u, v) -> float:
+    """sqrt(k - tr(V^T U U^T V)) for two Subspaces (trace form of chordal distance).
+
+    tr(V^T U U^T V) equals the squared Frobenius norm of U^T V.
+    """
+    g = u.rep.T @ v.rep
+    return float(np.sqrt(max(float(u.k) - float(np.sum(g * g)), 0.0)))

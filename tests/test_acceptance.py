@@ -22,7 +22,6 @@ from grasspack.grassmann import (
     complement,
     nonzero_angles,
     principal_angles,
-    principal_angles_recursive,
     random_subspace,
 )
 from grasspack.linalg import DEFAULT_TOL, determinant, symmetric_eigenvalues
@@ -32,7 +31,6 @@ from grasspack.metrics import (
     THETA_1,
     THETA_F,
     THETA_K,
-    chordal_trace_form,
     evaluate,
     fubini_study_from_spectrum,
 )
@@ -49,6 +47,8 @@ from grasspack.verify import (
     check_equiangular,
     size_chrss,
 )
+
+from _oracles import chordal_trace_form, principal_angles_recursive
 
 GRASSMANNIANS = [(3, 1), (4, 2), (5, 2), (6, 3)]  # (n, k)
 

@@ -142,6 +142,25 @@ def test_distance_respects_tol_flag(tmp_path, capsys):
         ["distance", str(path), "thetaF", "0", "1", "--format", "json", "--tol", "1e-4"]
     ) == 0
     assert json.loads(capsys.readouterr().out)["value"] == 0.0
+    # two planes of R^4 at principal angles 2e-9 and 5e-9, resolved under --tol 1e-10
+    a, b = 2e-9, 5e-9
+    doc = {
+        "schema_version": "1",
+        "kind": "subspaces",
+        "n": 4,
+        "k": 2,
+        "members": [
+            [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
+            [[math.cos(a), 0.0], [0.0, math.cos(b)], [math.sin(a), 0.0], [0.0, math.sin(b)]],
+        ],
+        "metadata": {},
+    }
+    path = tmp_path / "planted.json"
+    path.write_text(dumps_json(doc))
+    assert main(
+        ["distance", str(path), "thetaF", "0", "1", "--format", "json", "--tol", "1e-10"]
+    ) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(a, rel=1e-6)
 
 
 def test_verify_exit_codes(lines_file, lift_file):
@@ -318,10 +337,16 @@ def test_pack_env_seed_override(tmp_path, monkeypatch):
     assert out_a.read_bytes() != out_b.read_bytes()
 
 
-def test_pack_invalid_problem_exit_2(tmp_path):
+def test_pack_invalid_problem_exit_2(tmp_path, capsys):
     src = tmp_path / "problem.json"
     src.write_text(json.dumps({"k": 1, "n": 2, "m": 1, "metric": "thetaK"}))
     assert main(["pack", str(src)]) == 2
+    assert main(["pack", str(tmp_path / "missing.json")]) == 2
+    assert "cannot read" in capsys.readouterr().err
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    assert main(["pack", str(garbled)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
 
 
 def test_pack_orthogonal_planes_chordal(tmp_path):

@@ -275,6 +275,10 @@ def test_family_rejects_duplicates():
     with pytest.raises(ValueError):
         SubspaceFamily(2, 4, (u, u))
     SubspaceFamily(2, 4, (u, u), allow_duplicates=True)  # explicit flag allows
+    # no size limit on the scan: a copy of member 0 behind 256 others is caught
+    many = tuple(random_subspace(6, 2, rng) for _ in range(256))
+    with pytest.raises(ValueError, match="members 0 and 256 coincide"):
+        SubspaceFamily(2, 6, many + many[:1])
 
 
 def test_family_rejects_mixed_shapes():

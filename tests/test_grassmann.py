@@ -3,20 +3,20 @@
 import numpy as np
 import pytest
 
-from grasspack.errors import DimensionMismatchError, FullDimensionError
+from grasspack.errors import ClampError, DimensionMismatchError, FullDimensionError
 from grasspack.grassmann import (
     Subspace,
     complement,
     complement_duality_check,
     principal_angles,
-    principal_angles_recursive,
     projection_matrix,
     random_subspace,
+    spectra,
     subspace_from_spanning,
 )
 from grasspack.linalg import DEFAULT_TOL, orthonormalize, symmetric_eigenvalues
 
-from _oracles import projector_normal_equations
+from _oracles import principal_angles_recursive, projector_normal_equations
 
 
 def span(*cols):
@@ -85,6 +85,15 @@ def test_principal_angles_forced_spectrum():
     u = span(e(0, 3), e(1, 3))
     v = span(e(0, 3), np.cos(t) * e(1, 3) + np.sin(t) * e(2, 3))
     np.testing.assert_allclose(principal_angles(u, v), [0.0, t], atol=1e-9)
+    # rotation-planted pairs in a random frame of R^6: V = U cos(T) + W sin(T)
+    frame = orthonormalize(np.random.default_rng(29).standard_normal((6, 6)))
+    planted = [1e-12, 1e-9, 3e-8, 1e-6, 1e-3, 0.5, 1.2, np.pi / 2]
+    for pair in zip(planted[0::2], planted[1::2]):
+        t = np.array(pair)
+        u = Subspace(frame[:, :2])
+        v = Subspace(frame[:, :2] * np.cos(t) + frame[:, 2:4] * np.sin(t))
+        got = principal_angles(u, v)
+        assert np.all(np.abs(got - t) <= 1e-6 * t + 1e-15), (t, got)
 
 
 def test_principal_angles_match_eigenvalue_route():
@@ -97,6 +106,12 @@ def test_principal_angles_match_eigenvalue_route():
         lam = np.clip(symmetric_eigenvalues(gram), 0.0, 1.0)
         via_eig = np.arccos(np.sqrt(lam))
         np.testing.assert_allclose(via_svd, via_eig, atol=1e-9)
+
+
+def test_spectra_rejects_cosines_above_one():
+    # a non-orthonormal stack gives a cosine of 1.5: a bug, not roundoff
+    with pytest.raises(ClampError):
+        spectra(np.eye(3)[:, :2], 1.5 * np.eye(3)[:, :2])
 
 
 def test_principal_angles_dimension_mismatch():

@@ -1,4 +1,4 @@
-"""Kernel tests: orthonormalization, Jacobi eigenvalues, Jacobi SVD, determinants."""
+"""Kernel tests: orthonormalization, symmetric eigenvalues, singular values, determinants."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ from grasspack.linalg import (
     TolerancePolicy,
     clamp_unit_interval,
     determinant,
-    jacobi_eigh,
-    jacobi_svd,
     orthonormalize,
     singular_values,
     symmetric_eigenvalues,
@@ -123,17 +121,6 @@ def test_symmetric_eigenvalues_match_charpoly_roots():
         np.testing.assert_allclose(got, expected, atol=1e-8)
 
 
-def test_symmetric_eigenvalues_residuals():
-    rng = np.random.default_rng(12)
-    a = rng.standard_normal((6, 6))
-    s = 0.5 * (a + a.T)
-    w, v = jacobi_eigh(s)
-    norm = np.linalg.norm(s)
-    for lam, vec in zip(w, v.T):
-        assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
-        assert np.linalg.norm(s @ vec - lam * vec) <= 1e-9 * norm
-
-
 def test_symmetric_eigenvalues_orthogonal_similarity_invariant():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((5, 5))
@@ -176,16 +163,6 @@ def test_singular_values_transpose_invariant():
         np.testing.assert_allclose(
             singular_values(a), singular_values(a.T), atol=1e-9
         )
-
-
-def test_jacobi_svd_reconstructs():
-    rng = np.random.default_rng(23)
-    a = rng.standard_normal((6, 4))
-    u, sig, v = jacobi_svd(a)
-    np.testing.assert_allclose(u @ np.diag(sig) @ v.T, a, atol=1e-12)
-    np.testing.assert_allclose(u.T @ u, np.eye(4), atol=1e-12)
-    np.testing.assert_allclose(v.T @ v, np.eye(4), atol=1e-12)
-    assert np.all(np.diff(sig) <= 1e-15)
 
 
 def test_kernels_agree_with_numpy_at_scale():

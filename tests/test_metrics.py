@@ -15,16 +15,18 @@ from grasspack.metrics import (
     THETA_F,
     THETA_K,
     chordal,
-    chordal_trace_form,
     evaluate,
     fubini_study,
     fubini_study_from_spectrum,
     geodesic,
     get_metric,
+    pair_distances,
     theta_1,
     theta_F,
     theta_k,
 )
+
+from _oracles import chordal_trace_form
 
 
 def test_registry_flags():
@@ -184,3 +186,19 @@ def test_metrics_symmetric_nonnegative_proper():
         if metric.is_proper:
             assert evaluate(metric, u, u) <= 1e-7
             assert duv > 1e-3  # random distinct pair
+
+
+def test_pair_distances_on_stacks_match_single_pairs():
+    rng = np.random.default_rng(109)
+    members = [random_subspace(5, 2, rng) for _ in range(6)]
+    stack = np.array([m.rep for m in members])
+    for metric in METRICS.values():
+        row = pair_distances(metric, members[0].rep, stack)
+        pairs = pair_distances(metric, stack[:3], stack[3:])
+        assert row.shape == (6,) and pairs.shape == (3,)
+        np.testing.assert_allclose(
+            row, [evaluate(metric, members[0], v) for v in members], atol=1e-12
+        )
+        np.testing.assert_allclose(
+            pairs, [evaluate(metric, members[i], members[i + 3]) for i in range(3)], atol=1e-12
+        )
