@@ -124,10 +124,12 @@ class SubspaceFamily:
 
     @cached_property
     def reps(self) -> np.ndarray:
-        """The (m, n, k) stack of member representatives."""
-        return np.array([member.rep for member in self.members]).reshape(
+        """The (m, n, k) read-only stack of member representatives."""
+        stack = np.array([member.rep for member in self.members]).reshape(
             len(self.members), self.n, self.k
         )
+        stack.setflags(write=False)
+        return stack
 
     def __len__(self) -> int:
         return len(self.members)

@@ -55,7 +55,7 @@ def get_metric(name) -> Metric:
 
 def theta_1(spectrum):
     """Smallest principal angle (minimum angle between any pair of vectors)."""
-    return np.asarray(spectrum, dtype=float)[..., 0]
+    return np.asarray(spectrum, dtype=float)[..., 0][()]  # [()]: scalar for one spectrum
 
 
 def theta_F(spectrum, eps_angle: float = DEFAULT_TOL.eps_angle):
@@ -71,7 +71,7 @@ def theta_F(spectrum, eps_angle: float = DEFAULT_TOL.eps_angle):
 
 def theta_k(spectrum):
     """Largest principal angle."""
-    return np.asarray(spectrum, dtype=float)[..., -1]
+    return np.asarray(spectrum, dtype=float)[..., -1][()]  # [()]: scalar for one spectrum
 
 
 def chordal(spectrum):

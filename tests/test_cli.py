@@ -8,6 +8,7 @@ import pytest
 
 from grasspack.cli import main
 from grasspack.family_io import dumps_json, load_family, load_lineset
+from grasspack.metrics import evaluate
 
 
 @pytest.fixture()
@@ -121,6 +122,17 @@ def test_distance_command(lift_file, capsys):
     assert main(["distance", str(lift_file), "thetaF", "0", "4", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["value"] == pytest.approx(np.pi / 3, abs=1e-9)
+
+
+@pytest.mark.parametrize("metric", ["theta1", "thetaF", "thetaK", "chordal", "geodesic", "fubini-study"])
+def test_distance_every_metric_prints_a_number(lift_file, metric, capsys):
+    expected = evaluate(metric, *load_family(lift_file)[0:5:4])
+    assert main(["distance", str(lift_file), metric, "0", "4", "--format", "json"]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert isinstance(value, float)
+    assert value == pytest.approx(float(expected), abs=1e-12)
+    assert main(["distance", str(lift_file), metric, "0", "4"]) == 0
+    assert float(capsys.readouterr().out.rsplit("=", 1)[1]) == pytest.approx(value, abs=1e-11)
 
 
 def test_distance_respects_tol_flag(tmp_path, capsys):

@@ -281,6 +281,13 @@ def test_family_rejects_duplicates():
         SubspaceFamily(2, 6, many + many[:1])
 
 
+def test_family_reps_are_read_only():
+    family = lift_lines_to_subspaces(simplex_lines(2), 2)
+    assert family.reps.shape == (len(family), family.n, family.k)
+    with pytest.raises(ValueError):
+        family.reps[0] = 0.0
+
+
 def test_family_rejects_mixed_shapes():
     rng = np.random.default_rng(139)
     u = random_subspace(4, 2, rng)
