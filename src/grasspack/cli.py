@@ -41,7 +41,7 @@ from .family_io import (
     save_lineset,
 )
 from .grassmann import principal_angles
-from .linalg import DEFAULT_TOL, TolerancePolicy
+from .linalg import EPS_ANGLE, check_eps_angle
 from .metrics import METRICS, evaluate, get_metric
 from .packing import PackingProblem, solve
 from .verify import (
@@ -80,10 +80,9 @@ LINE_CATALOG = (
 )
 
 
-def _tolerances(args) -> TolerancePolicy:
-    if args.tol is None:
-        return DEFAULT_TOL
-    return TolerancePolicy(eps_angle=args.tol)
+def _tolerances(args) -> float:
+    """The eps_angle that --tol sets (EPS_ANGLE when absent)."""
+    return EPS_ANGLE if args.tol is None else check_eps_angle(args.tol)
 
 
 def _default_seed() -> int:
@@ -134,10 +133,10 @@ def _require(params: dict, *names: str) -> None:
 
 
 def cmd_angles(args) -> int:
-    tol = _tolerances(args)
-    family = load_family(args.file, tol)
+    _tolerances(args)  # range-checked only: the angles do not depend on eps_angle
+    family = load_family(args.file)
     u, v = _member_pair(family, args.i, args.j)
-    spectrum = principal_angles(u, v, tol)
+    spectrum = principal_angles(u, v)
     if args.format == "json":
         _print_doc(
             {
@@ -155,11 +154,11 @@ def cmd_angles(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    tol = _tolerances(args)
+    eps_angle = _tolerances(args)
     metric = get_metric(args.metric)
-    family = load_family(args.file, tol)
+    family = load_family(args.file)
     u, v = _member_pair(family, args.i, args.j)
-    value = evaluate(metric, u, v, tol)
+    value = evaluate(metric, u, v, eps_angle)
     if args.format == "json":
         _print_doc({"metric": metric.id, "i": args.i, "j": args.j, "value": value}, args)
     else:
@@ -168,10 +167,10 @@ def cmd_distance(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = _tolerances(args)
+    eps_angle = _tolerances(args)
     metric = get_metric(args.metric)
-    family = load_family(args.file, tol)
-    report = check_equiangular(family, metric, tol=args.tolerance, tol_policy=tol)
+    family = load_family(args.file)
+    report = check_equiangular(family, metric, tol=args.tolerance, eps_angle=eps_angle)
     if args.format == "json":
         _print_doc(report.to_dict(), args)
     else:
@@ -233,9 +232,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    tol = _tolerances(args)
-    family = load_family(args.file, tol)
-    cert = polynomial_certificate(family, args.alpha, tol=args.tolerance, tol_policy=tol)
+    eps_angle = _tolerances(args)
+    family = load_family(args.file)
+    cert = polynomial_certificate(family, args.alpha, tol=args.tolerance, eps_angle=eps_angle)
     if args.format == "json":
         _print_doc(cert.to_dict(), args)
     else:
@@ -316,8 +315,8 @@ def cmd_pack(args) -> int:
 
 
 def cmd_complement(args) -> int:
-    tol = _tolerances(args)
-    family = load_family(args.file, tol)
+    _tolerances(args)  # range-checked only: complements do not depend on eps_angle
+    family = load_family(args.file)
     comp = complement_family(family)
     save_family(Path(args.out), comp)
     print(f"wrote {len(comp)} subspaces in Gr({comp.k},{comp.n}) to {args.out}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AngleZeroError, DimensionMismatchError, NotEquiangularError
 from .grassmann import Subspace, complement, sign_fix_columns
-from .linalg import DEFAULT_TOL
+from .linalg import EPS_ORTH
 
 
 def _sign_fix_rows(vectors: np.ndarray) -> np.ndarray:
@@ -42,7 +42,7 @@ class LineSet:
         if not np.all(np.isfinite(vectors)):
             raise ValueError("line vectors must be finite")
         norms = np.linalg.norm(vectors, axis=1)
-        if float(np.max(np.abs(norms - 1.0))) > DEFAULT_TOL.eps_orth:
+        if float(np.max(np.abs(norms - 1.0))) > EPS_ORTH:
             raise ValueError("line vectors must have unit norm")
         if not 0.0 <= self.common_cos < 1.0:
             raise ValueError(f"common_cos must lie in [0, 1), got {self.common_cos}")
@@ -101,7 +101,6 @@ class SubspaceFamily:
     members: tuple[Subspace, ...]
     provenance: str = ""
     metadata: dict = field(default_factory=dict)
-    allow_duplicates: bool = False
 
     def __post_init__(self) -> None:
         members = tuple(self.members)
@@ -112,13 +111,13 @@ class SubspaceFamily:
                     f"family member in Gr({member.k},{member.n}) does not match "
                     f"Gr({self.k},{self.n})"
                 )
-        if not self.allow_duplicates and len(members) >= 2:
+        if len(members) >= 2:
             # Members coincide when their projectors agree entrywise; one row
             # of pairs (member i against every later member) at a time.
             projectors = self.reps @ np.swapaxes(self.reps, -1, -2)
             for i in range(len(members) - 1):
                 gaps = np.abs(projectors[i] - projectors[i + 1 :]).max(axis=(-2, -1))
-                hits = np.flatnonzero(gaps <= DEFAULT_TOL.eps_orth)
+                hits = np.flatnonzero(gaps <= EPS_ORTH)
                 if hits.size:
                     raise ValueError(f"family members {i} and {i + 1 + hits[0]} coincide")
 
@@ -248,7 +247,7 @@ def plucker_embed(u: Subspace) -> np.ndarray:
     return np.linalg.det(u.rep[rows])
 
 
-def plucker_line_family(family: SubspaceFamily, tol: float = 1e-8) -> LineSet:
+def plucker_line_family(family: SubspaceFamily) -> LineSet:
     """Lines along the Pluecker images of a Fubini-Study-equiangular family.
 
     The pairwise |<phi(U_i), phi(U_j)>| = |det(U_i^T U_j)| must share one
@@ -257,7 +256,7 @@ def plucker_line_family(family: SubspaceFamily, tol: float = 1e-8) -> LineSet:
     phis = np.array([plucker_embed(member) for member in family.members])
     norms = np.linalg.norm(phis, axis=1)
     phis /= norms[:, None]
-    return LineSet.from_vectors(_sign_fix_rows(phis), tol=tol)
+    return LineSet.from_vectors(_sign_fix_rows(phis), tol=1e-8)
 
 
 def complement_family(family: SubspaceFamily) -> SubspaceFamily:

@@ -16,7 +16,7 @@ import numpy as np
 from .constructions import LineSet, SubspaceFamily
 from .errors import GrasspackError, ParseError
 from .grassmann import Subspace
-from .linalg import DEFAULT_TOL, TolerancePolicy, orthonormalize
+from .linalg import EPS_ORTH, orthonormalize
 
 SCHEMA_VERSION = "1"
 
@@ -136,7 +136,8 @@ def _validate_doc(doc) -> dict:
     if kind not in (KIND_LINES, KIND_SUBSPACES):
         raise ParseError(f"unknown kind {kind!r}")
     n, k = doc.get("n"), doc.get("k")
-    if not isinstance(n, int) or not isinstance(k, int) or n < 1 or k < 1:
+    # type(...) is int: JSON true/false would pass isinstance(..., int)
+    if type(n) is not int or type(k) is not int or n < 1 or k < 1:
         raise ParseError(f"n and k must be positive integers, got n={n!r}, k={k!r}")
     if kind == KIND_LINES and k != 1:
         raise ParseError(f"kind 'lines' requires k = 1, got k={k}")
@@ -154,7 +155,7 @@ def _validate_doc(doc) -> dict:
 def _member_matrix(entry, n: int, k: int, kind: str, index: int) -> np.ndarray:
     try:
         arr = np.asarray(entry, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"member {index} is not numeric") from None
     if kind == KIND_LINES:
         if arr.shape != (n,):
@@ -166,12 +167,16 @@ def _member_matrix(entry, n: int, k: int, kind: str, index: int) -> np.ndarray:
         raise ParseError(
             f"member {index}: expected an {n}x{k} matrix, got shape {arr.shape}"
         )
+    # numpy's float conversion also accepts strings such as "1" and booleans
+    leaves = np.asarray(entry, dtype=object).flat
+    if not all(isinstance(x, (int, float, np.number)) and not isinstance(x, bool) for x in leaves):
+        raise ParseError(f"member {index} is not numeric")
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"member {index} has non-finite entries")
     return arr
 
 
-def parse_family_doc(doc, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceFamily:
+def parse_family_doc(doc) -> SubspaceFamily:
     """Build a SubspaceFamily from a validated doc; lines load as Gr(1, n).
 
     Representatives are re-orthonormalized on load (span-preserving; a no-op
@@ -184,8 +189,8 @@ def parse_family_doc(doc, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceFamily:
         arr = _member_matrix(entry, n, k, kind, index)
         residual = float(np.max(np.abs(arr.T @ arr - np.eye(k))))
         try:
-            if residual > tol.eps_orth:  # sloppy hand-written spans get cleaned
-                arr = orthonormalize(arr, tol)
+            if residual > EPS_ORTH:  # sloppy hand-written spans get cleaned
+                arr = orthonormalize(arr)
             members.append(Subspace(arr))
         except GrasspackError as exc:
             raise ParseError(f"member {index}: {exc}") from None
@@ -201,7 +206,7 @@ def parse_family_doc(doc, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceFamily:
         raise ParseError(str(exc)) from None
 
 
-def parse_lineset_doc(doc, equiangular_tol: float = 1e-8) -> LineSet:
+def parse_lineset_doc(doc) -> LineSet:
     """Build a LineSet from a doc of kind 'lines', checking equiangularity."""
     doc = _validate_doc(doc)
     if doc["kind"] != KIND_LINES:
@@ -213,10 +218,10 @@ def parse_lineset_doc(doc, equiangular_tol: float = 1e-8) -> LineSet:
         norm = float(np.linalg.norm(arr))
         if norm == 0.0:
             raise ParseError(f"member {index} is the zero vector")
-        if abs(norm - 1.0) > DEFAULT_TOL.eps_orth:
+        if abs(norm - 1.0) > EPS_ORTH:
             arr = arr / norm
         vectors.append(arr)
-    return LineSet.from_vectors(np.array(vectors), tol=equiangular_tol)
+    return LineSet.from_vectors(np.array(vectors), tol=1e-8)
 
 
 def read_json(path):
@@ -233,12 +238,12 @@ def load_doc(path) -> dict:
     return _validate_doc(read_json(path))
 
 
-def load_family(path, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceFamily:
-    return parse_family_doc(load_doc(path), tol)
+def load_family(path) -> SubspaceFamily:
+    return parse_family_doc(load_doc(path))
 
 
-def load_lineset(path, equiangular_tol: float = 1e-8) -> LineSet:
-    return parse_lineset_doc(load_doc(path), equiangular_tol)
+def load_lineset(path) -> LineSet:
+    return parse_lineset_doc(load_doc(path))
 
 
 def save_lineset(path, lines: LineSet, metadata: dict | None = None) -> None:

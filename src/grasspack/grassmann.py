@@ -15,17 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClampError, DimensionMismatchError, FullDimensionError
-from .linalg import CLAMP_SLACK, DEFAULT_TOL, TolerancePolicy, as_matrix, orthonormalize
-
-# Entries below this are treated as zero when picking the sign-convention pivot.
-_SIGN_PIVOT_TOL = 1e-10
+from .linalg import CLAMP_SLACK, EPS_ANGLE, EPS_ORTH, as_matrix, orthonormalize
 
 
-def sign_fix_columns(q: np.ndarray, zero_tol: float = _SIGN_PIVOT_TOL) -> np.ndarray:
-    """Flip column signs so each column's first entry above `zero_tol` is positive."""
+def sign_fix_columns(q: np.ndarray) -> np.ndarray:
+    """Flip column signs so each column's first entry above EPS_ORTH is positive."""
     q = np.array(q, dtype=float)
     for j in range(q.shape[1]):
-        nz = np.flatnonzero(np.abs(q[:, j]) > zero_tol)
+        nz = np.flatnonzero(np.abs(q[:, j]) > EPS_ORTH)
         if nz.size and q[nz[0], j] < 0.0:
             q[:, j] = -q[:, j]
     return q
@@ -43,7 +40,7 @@ class Subspace:
         if k > n:
             raise ValueError(f"subspace dimension {k} exceeds ambient dimension {n}")
         residual = float(np.max(np.abs(rep.T @ rep - np.eye(k))))
-        if residual > DEFAULT_TOL.eps_orth:
+        if residual > EPS_ORTH:
             raise ValueError(
                 f"representative is not orthonormal (residual {residual:.3e})"
             )
@@ -62,9 +59,9 @@ class Subspace:
         return f"Subspace(k={self.k}, n={self.n})"
 
 
-def subspace_from_spanning(a, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
+def subspace_from_spanning(a) -> Subspace:
     """Subspace spanned by the columns of `a`, with the canonical sign-fixed basis."""
-    return Subspace(sign_fix_columns(orthonormalize(a, tol)))
+    return Subspace(sign_fix_columns(orthonormalize(a)))
 
 
 def random_subspace(n: int, k: int, rng: np.random.Generator) -> Subspace:
@@ -100,9 +97,7 @@ def spectra(a, b) -> np.ndarray:
     return np.where(small, np.arcsin(np.minimum(sin, 1.0)), np.arccos(np.minimum(cos, 1.0)))
 
 
-def principal_angles(
-    u: Subspace, v: Subspace, tol: TolerancePolicy = DEFAULT_TOL
-) -> np.ndarray:
+def principal_angles(u: Subspace, v: Subspace) -> np.ndarray:
     """Principal angles in radians, ascending, between two subspaces."""
     require_same_grassmannian(u, v)
     return spectra(u.rep, v.rep)
@@ -113,7 +108,7 @@ def projection_matrix(u: Subspace) -> np.ndarray:
     return u.rep @ u.rep.T
 
 
-def complement(u: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
+def complement(u: Subspace) -> Subspace:
     """Orthogonal complement in Gr(n-k, n): the trailing left singular vectors."""
     if u.k == u.n:
         raise FullDimensionError(
@@ -130,10 +125,7 @@ def nonzero_angles(spectrum: np.ndarray, eps_angle: float) -> np.ndarray:
 
 
 def complement_duality_check(
-    u: Subspace,
-    v: Subspace,
-    tol: float = 1e-8,
-    tol_policy: TolerancePolicy = DEFAULT_TOL,
+    u: Subspace, v: Subspace, tol: float = 1e-8, eps_angle: float = EPS_ANGLE
 ) -> bool:
     """True iff the nonzero principal angles of (U, V) match those of (U-perp, V-perp).
 
@@ -141,11 +133,8 @@ def complement_duality_check(
     a count mismatch is an immediate False.
     """
     require_same_grassmannian(u, v)
-    direct = nonzero_angles(principal_angles(u, v, tol_policy), tol_policy.eps_angle)
-    dual = nonzero_angles(
-        principal_angles(complement(u, tol_policy), complement(v, tol_policy), tol_policy),
-        tol_policy.eps_angle,
-    )
+    direct = nonzero_angles(principal_angles(u, v), eps_angle)
+    dual = nonzero_angles(principal_angles(complement(u), complement(v)), eps_angle)
     if direct.size != dual.size:
         return False
     if direct.size == 0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import UnknownMetricError
 from .grassmann import Subspace, require_same_grassmannian, spectra
-from .linalg import DEFAULT_TOL, TolerancePolicy, clamp_unit_interval
+from .linalg import EPS_ANGLE, clamp_unit_interval
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def theta_1(spectrum):
     return np.asarray(spectrum, dtype=float)[..., 0][()]  # [()]: scalar for one spectrum
 
 
-def theta_F(spectrum, eps_angle: float = DEFAULT_TOL.eps_angle):
+def theta_F(spectrum, eps_angle: float = EPS_ANGLE):
     """Smallest nonzero principal angle; 0 when all angles are numerically zero.
 
     The zero return covers U = V, where there is no nonzero angle to take the
@@ -84,7 +84,7 @@ def geodesic(spectrum):
     return np.sqrt(np.sum(np.asarray(spectrum, dtype=float) ** 2, axis=-1))
 
 
-def fubini_study(u: Subspace, v: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def fubini_study(u: Subspace, v: Subspace) -> float:
     """arccos|det(U^T V)|, computed in determinant form (no angle extraction)."""
     require_same_grassmannian(u, v)
     return pair_distances(FUBINI_STUDY, u.rep, v.rep)
@@ -105,7 +105,7 @@ _FROM_SPECTRUM = {
 }
 
 
-def from_spectrum(metric, spectrum, eps_angle: float = DEFAULT_TOL.eps_angle):
+def from_spectrum(metric, spectrum, eps_angle: float = EPS_ANGLE):
     """Evaluate a metric on a precomputed angle spectrum, or a (..., k) stack of them."""
     metric = get_metric(metric)
     if metric.id == "theta_F":
@@ -113,7 +113,7 @@ def from_spectrum(metric, spectrum, eps_angle: float = DEFAULT_TOL.eps_angle):
     return _FROM_SPECTRUM[metric.id](spectrum)
 
 
-def pair_distances(metric, a, b, eps_angle: float = DEFAULT_TOL.eps_angle):
+def pair_distances(metric, a, b, eps_angle: float = EPS_ANGLE):
     """Distances between paired members of two (..., n, k) representative stacks.
 
     The stacks broadcast against each other.  Fubini-Study is read from a
@@ -126,7 +126,7 @@ def pair_distances(metric, a, b, eps_angle: float = DEFAULT_TOL.eps_angle):
     return from_spectrum(metric, spectra(a, b), eps_angle)
 
 
-def evaluate(metric, u: Subspace, v: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def evaluate(metric, u: Subspace, v: Subspace, eps_angle: float = EPS_ANGLE) -> float:
     """Distance between two subspaces under `metric` (Metric, id, or CLI name)."""
     require_same_grassmannian(u, v)
-    return pair_distances(metric, u.rep, v.rep, tol.eps_angle)
+    return pair_distances(metric, u.rep, v.rep, eps_angle)

@@ -17,10 +17,11 @@ import numpy as np
 from .constructions import SubspaceFamily
 from .errors import InvalidProblemError, RankDeficientError, UnknownMetricError
 from .grassmann import Subspace, sign_fix_columns
-from .linalg import DEFAULT_TOL, orthonormalize
+from .linalg import orthonormalize
 from .metrics import Metric, get_metric, pair_distances
 
 OBJECTIVES = ("maximin", "equiangular_variance")
+_FLOAT_FIELDS = ("step_init", "step_final", "temp_init", "temp_final", "min_separation")
 
 # Moves that bring a pair closer than this are rejected outright: collapsed
 # members would violate the family distinctness invariant (and make the
@@ -56,6 +57,10 @@ class PackingProblem:
             metric = get_metric(self.metric)
         except UnknownMetricError as exc:
             raise InvalidProblemError(str(exc)) from None
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidProblemError(f"{name} must be finite, got {value!r}")
         if self.m < 2:
             raise InvalidProblemError(f"need m >= 2 members, got {self.m}")
         if not 1 <= self.k <= self.n:
@@ -109,7 +114,7 @@ class PackingProblem:
                     kwargs[name] = str(value)
                 else:
                     kwargs[name] = float(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidProblemError(f"bad problem field value: {exc}") from None
         problem = cls(**kwargs)
         problem.validated_metric()
@@ -155,10 +160,7 @@ def _run_restart(problem: PackingProblem, metric: Metric, restart: int):
     else:
         def row_values(cand_flat, partners):
             return pair_distances(
-                metric,
-                cand_flat.reshape(n, k),
-                flat[partners].reshape(-1, n, k),
-                DEFAULT_TOL.eps_angle,
+                metric, cand_flat.reshape(n, k), flat[partners].reshape(-1, n, k)
             )
 
     def true_objective(values):

@@ -10,7 +10,7 @@ import numpy as np
 
 from .constructions import SubspaceFamily
 from .errors import AlphaZeroError, FamilyTooSmallError, NotOddPrimeError
-from .linalg import DEFAULT_TOL, TolerancePolicy
+from .linalg import EPS_ANGLE
 from .metrics import get_metric, pair_distances
 
 
@@ -96,14 +96,12 @@ class Certificate:
         return doc
 
 
-def pairwise_distances(
-    family: SubspaceFamily, metric, tol: TolerancePolicy = DEFAULT_TOL
-) -> np.ndarray:
+def pairwise_distances(family: SubspaceFamily, metric, eps_angle: float = EPS_ANGLE) -> np.ndarray:
     """Condensed vector of pairwise distances in (i < j) lexicographic order."""
     metric = get_metric(metric)
     reps = family.reps
     rows = [
-        pair_distances(metric, reps[i], reps[i + 1 :], tol.eps_angle)
+        pair_distances(metric, reps[i], reps[i + 1 :], eps_angle)
         for i in range(len(reps) - 1)
     ]
     return np.concatenate([np.empty(0), *rows])
@@ -113,7 +111,7 @@ def check_equiangular(
     family: SubspaceFamily,
     metric,
     tol: float = 1e-8,
-    tol_policy: TolerancePolicy = DEFAULT_TOL,
+    eps_angle: float = EPS_ANGLE,
 ) -> EquiangularReport:
     """Scan all pairs; the common value is the mean, the verdict its max deviation."""
     metric = get_metric(metric)
@@ -121,7 +119,7 @@ def check_equiangular(
         raise FamilyTooSmallError(
             f"equiangularity needs at least 2 members, got {len(family)}"
         )
-    values = pairwise_distances(family, metric, tol_policy)
+    values = pairwise_distances(family, metric, eps_angle)
     common = float(np.mean(values))
     deviation = float(np.max(np.abs(values - common)))
     return EquiangularReport(
@@ -170,7 +168,7 @@ def polynomial_certificate(
     family: SubspaceFamily,
     alpha: float,
     tol: float = 1e-8,
-    tol_policy: TolerancePolicy = DEFAULT_TOL,
+    eps_angle: float = EPS_ANGLE,
 ) -> Certificate:
     """Build the determinant-polynomial certificate for a claimed common angle.
 
@@ -179,7 +177,7 @@ def polynomial_certificate(
     polynomial at every projector and checks the diagonal/off-diagonal
     structure plus m <= C(C(n+1,2)+k-1, k).
     """
-    if alpha <= tol_policy.eps_angle:
+    if alpha <= eps_angle:
         raise AlphaZeroError(
             f"certificate requires alpha > 0 (got {alpha!r}); "
             "the bound does not hold at alpha = 0"

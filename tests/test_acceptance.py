@@ -24,7 +24,7 @@ from grasspack.grassmann import (
     principal_angles,
     random_subspace,
 )
-from grasspack.linalg import DEFAULT_TOL, determinant, symmetric_eigenvalues
+from grasspack.linalg import EPS_ANGLE, determinant, symmetric_eigenvalues
 from grasspack.metrics import (
     CHORDAL,
     FUBINI_STUDY,
@@ -80,7 +80,7 @@ def test_criterion_1_principal_angle_routes_agree():
 def test_criterion_2_complement_duality():
     started = time.perf_counter()
     rng = np.random.default_rng(2025)
-    eps = DEFAULT_TOL.eps_angle
+    eps = EPS_ANGLE
     for _ in range(200):
         u = random_subspace(5, 2, rng)
         v = random_subspace(5, 2, rng)
@@ -100,7 +100,7 @@ def _check_lift_family(family, alpha, expected_size):
             spectrum = principal_angles(members[i], members[j])
             for angle in spectrum:
                 assert min(abs(angle), abs(angle - alpha)) <= 1e-8
-            nonzero = spectrum[spectrum > DEFAULT_TOL.eps_angle]
+            nonzero = spectrum[spectrum > EPS_ANGLE]
             assert nonzero.size >= 1
             assert abs(nonzero[0] - alpha) <= 1e-8  # theta_F
             assert abs(spectrum[-1] - alpha) <= 1e-8  # theta_k

@@ -175,6 +175,22 @@ def test_distance_respects_tol_flag(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(a, rel=1e-6)
 
 
+@pytest.mark.parametrize("command", ["distance", "verify", "certify", "angles", "complement"])
+@pytest.mark.parametrize("bad", ["0", "-1e-8", "0.5", "nan"])
+def test_tol_out_of_range_exit_2(lift_file, tmp_path, command, bad, capsys):
+    args = {
+        "distance": ["distance", str(lift_file), "thetaF", "0", "1"],
+        "verify": ["verify", str(lift_file), "thetaF"],
+        "certify": ["certify", str(lift_file), "--alpha", "1.0"],
+        "angles": ["angles", str(lift_file), "0", "1"],
+        "complement": ["complement", str(lift_file), "-o", str(tmp_path / "comp.json")],
+    }[command]
+    assert main(args + [f"--tol={bad}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: eps_angle must lie in (0, 1e-2), got {float(bad)!r}\n"
+
+
 def test_verify_exit_codes(lines_file, lift_file):
     assert main(["verify", str(lines_file), "thetaK"]) == 0
     assert main(["verify", str(lift_file), "thetaF"]) == 0
@@ -359,6 +375,33 @@ def test_pack_invalid_problem_exit_2(tmp_path, capsys):
     garbled.write_text("{not json")
     assert main(["pack", str(garbled)]) == 2
     assert "is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, text, shown",
+    [
+        ("temp_init", "1e400", "inf"),
+        ("step_init", "Infinity", "inf"),
+        ("min_separation", "NaN", "nan"),
+    ],
+)
+def test_pack_non_finite_field_exit_2(tmp_path, capsys, field, text, shown):
+    src = tmp_path / "problem.json"
+    src.write_text(f'{{"k": 1, "n": 2, "m": 3, "metric": "thetaK", "{field}": {text}}}')
+    out = tmp_path / "result.json"
+    assert main(["pack", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {field} must be finite, got {shown}\n"
+    assert not out.exists()
+
+
+def test_malformed_family_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"schema_version": "1", "kind": "subspaces", "n": 2, "k": true,'
+        ' "members": [[[1.0], [0.0]]], "metadata": {}}'
+    )
+    assert main(["angles", str(path), "0", "0"]) == 2
+    assert "n and k must be positive integers" in capsys.readouterr().err
 
 
 def test_pack_orthogonal_planes_chordal(tmp_path):

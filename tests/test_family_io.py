@@ -140,6 +140,39 @@ def test_non_finite_member_rejected():
         parse_family_doc(doc)
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {"n": True, "k": 1, "members": [[1.0]]},  # true == 1 passed as n
+        {"n": 2, "k": True, "members": [[[1.0], [0.0]]]},  # np.eye(True) raised TypeError
+    ],
+)
+def test_boolean_shape_rejected(shape):
+    doc = dict({"schema_version": "1", "kind": "subspaces", "metadata": {}}, **shape)
+    with pytest.raises(ParseError, match="n and k must be positive integers"):
+        parse_family_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "member", [["1", "0"], [True, False], [1.0, True], [0.0, "1e0"], [0.0, 10**400]]
+)
+def test_non_numeric_member_rejected(tmp_path, member):
+    doc = {
+        "schema_version": "1",
+        "kind": "lines",
+        "n": 2,
+        "k": 1,
+        "members": [[0.6, 0.8], member],
+        "metadata": {},
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="member 1 is not numeric"):
+        load_family(path)
+    with pytest.raises(ParseError, match="member 1 is not numeric"):
+        load_lineset(path)
+
+
 def test_rank_deficient_member_rejected():
     doc = {
         "schema_version": "1",

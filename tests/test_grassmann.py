@@ -14,7 +14,7 @@ from grasspack.grassmann import (
     spectra,
     subspace_from_spanning,
 )
-from grasspack.linalg import DEFAULT_TOL, orthonormalize, symmetric_eigenvalues
+from grasspack.linalg import EPS_ANGLE, orthonormalize, symmetric_eigenvalues
 
 from _oracles import principal_angles_recursive, projector_normal_equations
 
@@ -266,10 +266,10 @@ def test_zero_law():
     v = Subspace(u.rep @ orthonormalize(rng.standard_normal((2, 2))))
     w = random_subspace(5, 2, rng)
     # same span: all angles at numerical zero, projectors agree
-    assert np.all(principal_angles(u, v) <= DEFAULT_TOL.eps_angle)
+    assert np.all(principal_angles(u, v) <= EPS_ANGLE)
     assert np.max(np.abs(projection_matrix(u) - projection_matrix(v))) <= 1e-10
     # distinct span: some angle above threshold and projectors differ
-    assert np.any(principal_angles(u, w) > DEFAULT_TOL.eps_angle)
+    assert np.any(principal_angles(u, w) > EPS_ANGLE)
     assert np.max(np.abs(projection_matrix(u) - projection_matrix(w))) > 1e-6
 
 

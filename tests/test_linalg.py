@@ -1,12 +1,16 @@
 """Kernel tests: orthonormalization, symmetric eigenvalues, singular values, determinants."""
 
+import math
+
 import numpy as np
 import pytest
 
 from grasspack.errors import NotSymmetricError, RankDeficientError
 from grasspack.linalg import (
+    EPS_ANGLE,
+    EPS_ORTH,
     ClampError,
-    TolerancePolicy,
+    check_eps_angle,
     clamp_unit_interval,
     determinant,
     orthonormalize,
@@ -18,17 +22,18 @@ from _oracles import charpoly_eigenvalues, cofactor_det
 
 
 def test_tolerance_policy_defaults():
-    tol = TolerancePolicy()
-    assert tol.eps_orth == 1e-10
-    assert tol.eps_eig == 1e-9
-    assert tol.eps_angle == 1e-7
+    assert EPS_ORTH == 1e-10
+    assert EPS_ANGLE == 1e-7
+    assert check_eps_angle(EPS_ANGLE) == EPS_ANGLE
+    assert check_eps_angle(1e-12) == 1e-12
 
 
-@pytest.mark.parametrize("field", ["eps_orth", "eps_eig", "eps_angle"])
-@pytest.mark.parametrize("bad", [0.0, -1e-8, 0.5])
+# eps_angle is the one settable threshold; EPS_ORTH is a constant
+@pytest.mark.parametrize("field", ["eps_angle"])
+@pytest.mark.parametrize("bad", [0.0, -1e-8, 0.5, math.nan])
 def test_tolerance_policy_rejects_out_of_range(field, bad):
-    with pytest.raises(ValueError):
-        TolerancePolicy(**{field: bad})
+    with pytest.raises(ValueError, match=rf"{field} must lie in \(0, 1e-2\), got {bad!r}"):
+        check_eps_angle(bad)
 
 
 def test_clamp_within_slack_is_silent():

@@ -46,6 +46,18 @@ def test_invalid_problems_rejected():
     PackingProblem(k=1, n=3, m=3, metric="theta1").validated_metric()
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "field", ["step_init", "step_final", "temp_init", "temp_final", "min_separation"]
+)
+def test_non_finite_float_fields_rejected(field, bad):
+    with pytest.raises(InvalidProblemError, match=f"{field} must be finite"):
+        small_problem(**{field: bad}).validated_metric()
+    doc = dict(small_problem().to_dict(), **{field: bad})
+    with pytest.raises(InvalidProblemError, match=f"{field} must be finite"):
+        PackingProblem.from_dict(doc)
+
+
 def test_from_dict_round_trip_and_validation():
     problem = small_problem()
     again = PackingProblem.from_dict(problem.to_dict())
@@ -56,6 +68,8 @@ def test_from_dict_round_trip_and_validation():
         PackingProblem.from_dict(
             {"k": 1, "n": 2, "m": 3, "metric": "thetaK", "bogus": 1}
         )
+    with pytest.raises(InvalidProblemError, match="bad problem field value"):
+        PackingProblem.from_dict({"k": 1, "n": 2, "m": 3, "metric": "thetaK", "restarts": 1e400})
 
 
 def test_from_dict_default_seed():
