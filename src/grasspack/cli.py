@@ -340,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    common.add_argument(
+    # only the commands that read or range-check eps_angle offer --tol
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument(
         "--tol",
         type=float,
         default=None,
@@ -353,20 +355,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("angles", parents=[common], help="principal angles of a member pair")
+    p = sub.add_parser("angles", parents=[common, tol], help="principal angles of a member pair")
     p.add_argument("file")
     p.add_argument("i", type=int)
     p.add_argument("j", type=int)
     p.set_defaults(func=cmd_angles)
 
-    p = sub.add_parser("distance", parents=[common], help="distance of a member pair")
+    p = sub.add_parser("distance", parents=[common, tol], help="distance of a member pair")
     p.add_argument("file")
     p.add_argument("metric", help=f"one of: {', '.join(m.cli_name for m in METRICS.values())}")
     p.add_argument("i", type=int)
     p.add_argument("j", type=int)
     p.set_defaults(func=cmd_distance)
 
-    p = sub.add_parser("verify", parents=[common], help="check pairwise equiangularity")
+    p = sub.add_parser("verify", parents=[common, tol], help="check pairwise equiangularity")
     p.add_argument("file")
     p.add_argument("metric")
     p.add_argument(
@@ -390,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("certify", parents=[common], help="determinant-polynomial certificate")
+    p = sub.add_parser("certify", parents=[common, tol], help="determinant-polynomial certificate")
     p.add_argument("file")
     p.add_argument("--alpha", type=float, required=True, help="common angle in radians")
     p.add_argument(
@@ -409,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", default=None, help="also write the history as CSV")
     p.set_defaults(func=cmd_pack)
 
-    p = sub.add_parser("complement", parents=[common], help="member-wise orthogonal complement")
+    p = sub.add_parser("complement", parents=[common, tol], help="member-wise orthogonal complement")
     p.add_argument("file")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_complement)

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import ClampError, DimensionMismatchError, FullDimensionError
 from .linalg import CLAMP_SLACK, EPS_ANGLE, EPS_ORTH, as_matrix, orthonormalize
 
+_COS_PI_4 = np.sqrt(0.5)
+
 
 def sign_fix_columns(q: np.ndarray) -> np.ndarray:
     """Flip column signs so each column's first entry above EPS_ORTH is positive."""
@@ -84,16 +86,22 @@ def spectra(a, b) -> np.ndarray:
     broadcast against each other; the result has shape (..., k).  Angles
     below pi/4 are the arcsines of the singular values of B - A (A^T B),
     which keep full relative accuracy down to the smallest angles; the rest
-    are the arccosines of the singular values of A^T B.
+    are the arccosines of the singular values of A^T B.  For lines (k = 1)
+    those singular values are |a^T b| and |b - a (a^T b)|, taken directly.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     cross = np.swapaxes(a, -1, -2) @ b
-    cos = np.linalg.svd(cross, compute_uv=False)  # descending: angles ascending
-    if np.any(cos > 1.0 + CLAMP_SLACK):
+    residual = b - a @ cross
+    if a.shape[-1] == 1:
+        cos = np.abs(cross[..., 0])
+        sin = np.sqrt((residual * residual).sum(axis=-2))
+    else:
+        cos = np.linalg.svd(cross, compute_uv=False)  # descending: angles ascending
+        sin = np.linalg.svd(residual, compute_uv=False)[..., ::-1]
+    if (cos > 1.0 + CLAMP_SLACK).any():
         raise ClampError(f"cosine {float(cos.max())!r} is too far above 1 to be roundoff")
-    sin = np.linalg.svd(b - a @ cross, compute_uv=False)[..., ::-1]
-    small = cos > np.sqrt(0.5)
+    small = cos > _COS_PI_4
     return np.where(small, np.arcsin(np.minimum(sin, 1.0)), np.arccos(np.minimum(cos, 1.0)))
 
 

@@ -56,6 +56,14 @@ def clamp_unit_interval(x):
     return np.clip(x, 0.0, 1.0)
 
 
+def _signed_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q of a (..., n, k) stack with diag R > 0, and the (..., k) dependent-column mask."""
+    q, r = np.linalg.qr(a)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    dependent = np.abs(diag) <= EPS_ORTH * np.maximum(1.0, np.sqrt((a * a).sum(axis=-2)))
+    return q * np.sign(diag)[..., None, :], dependent
+
+
 def orthonormalize(a) -> np.ndarray:
     """Orthonormal basis of the column span of `a`: the Q of a QR with diag R > 0.
 
@@ -67,12 +75,27 @@ def orthonormalize(a) -> np.ndarray:
     n, k = m.shape
     if k > n:
         raise RankDeficientError(f"{k} columns cannot be independent in R^{n}")
-    q, r = np.linalg.qr(m)
-    diag = np.diag(r)
-    dependent = np.abs(diag) <= EPS_ORTH * np.maximum(1.0, np.linalg.norm(m, axis=0))
+    q, dependent = _signed_qr(m)
     if np.any(dependent):
         raise RankDeficientError(f"column {int(np.argmax(dependent))} is numerically dependent")
-    return q * np.sign(diag)
+    return q
+
+
+def orthonormalize_stack(a) -> tuple[np.ndarray, np.ndarray]:
+    """`orthonormalize` over a (..., n, k) stack with k <= n, without raising.
+
+    Returns the Q stack and a (...,) mask that is False where `orthonormalize`
+    would raise RankDeficientError; the Q of such an entry is finite but
+    meaningless.  A single column is divided by its norm directly (R is the
+    norm, and the rank rule reduces to norm <= EPS_ORTH), which skips the
+    call overhead of LAPACK's QR.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1] == 1:
+        norm = np.sqrt((a * a).sum(axis=-2, keepdims=True))
+        return a / np.maximum(norm, EPS_ORTH), norm[..., 0, 0] > EPS_ORTH
+    q, dependent = _signed_qr(a)
+    return q, ~dependent.any(axis=-1)
 
 
 def symmetric_eigenvalues(s) -> np.ndarray:

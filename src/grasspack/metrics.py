@@ -76,12 +76,12 @@ def theta_k(spectrum):
 
 def chordal(spectrum):
     """sqrt(sum of sin^2 theta_i)."""
-    return np.sqrt(np.sum(np.sin(np.asarray(spectrum, dtype=float)) ** 2, axis=-1))
+    return np.sqrt((np.sin(np.asarray(spectrum, dtype=float)) ** 2).sum(axis=-1))
 
 
 def geodesic(spectrum):
     """sqrt(sum of theta_i^2): Riemannian distance on the Grassmannian."""
-    return np.sqrt(np.sum(np.asarray(spectrum, dtype=float) ** 2, axis=-1))
+    return np.sqrt((np.asarray(spectrum, dtype=float) ** 2).sum(axis=-1))
 
 
 def fubini_study(u: Subspace, v: Subspace) -> float:

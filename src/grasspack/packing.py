@@ -3,8 +3,20 @@
 One annealing move perturbs a single member and re-orthonormalizes; the
 maximin objective is smoothed with a soft-min whose sharpness follows the
 temperature schedule, while the best-so-far bookkeeping always uses the true
-objective.  Per-restart RNG streams derive from (seed, restart index), so the
-result does not depend on how restarts are scheduled.
+objective.
+
+All restarts run in lockstep as one array program: the members are an
+(R, m, n, k) stack and the pair values R rows, so each iteration moves one
+member in every restart with one batched re-orthonormalization and one
+batched row of pair distances, for every k.  Rank failures, the separation
+floor and the Metropolis test are masks over the restarts.
+
+Restart r draws only from its own `default_rng([seed, r])`: first its m
+initial members as one (m, n, k) normal draw, then, MOVE_BLOCK iterations at
+a time, the moved member indices, the (n, k) move directions and the
+Metropolis uniforms, in that order.  No restart's arithmetic reads another
+restart's row, so a restart's result is bit-identical however many restarts
+run beside it.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ import numpy as np
 from .constructions import SubspaceFamily
 from .errors import InvalidProblemError, RankDeficientError, UnknownMetricError
 from .grassmann import Subspace, sign_fix_columns
-from .linalg import orthonormalize
+from .linalg import orthonormalize, orthonormalize_stack
 from .metrics import Metric, get_metric, pair_distances
 
 OBJECTIVES = ("maximin", "equiangular_variance")
@@ -27,6 +39,9 @@ _FLOAT_FIELDS = ("step_init", "step_final", "temp_init", "temp_final", "min_sepa
 # members would violate the family distinctness invariant (and make the
 # variance objective trivially zero).
 MIN_SEPARATION = 1e-6
+
+# Moves are drawn from each restart's generator this many iterations at a time.
+MOVE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -123,120 +138,112 @@ class PackingProblem:
 
 @dataclass(frozen=True, eq=False)
 class PackingResult:
+    """Best family over all restarts; `restart_values` and `restart_iterations`
+    hold each restart's best objective and the iteration that reached it."""
+
     family: SubspaceFamily
     objective_value: float
     best_iteration: int
     history: tuple[tuple[int, float], ...]
+    restart_values: tuple[float, ...]
+    restart_iterations: tuple[int, ...]
 
 
-def _line_distance(metric_id: str):
-    """k = 1 fast path: distance as a vectorized function of |<u, v>|."""
-    if metric_id == "chordal":
-        return lambda c: np.sqrt(np.maximum(1.0 - c * c, 0.0))
-    # for lines every other registered metric reduces to the angle itself
-    return lambda c: np.arccos(np.minimum(c, 1.0))
+def _schedule(start: float, final: float, iters: int, i: np.ndarray) -> np.ndarray:
+    """Geometric schedule from `start` (i = 0) to `final` (i = iters - 1)."""
+    if iters == 1:
+        return np.full(i.shape, final)
+    return start * (final / start) ** (i / (iters - 1))
 
 
-def _run_restart(problem: PackingProblem, metric: Metric, restart: int):
+def _anneal(problem: PackingProblem, metric: Metric):
+    """Run every restart in lockstep; returns per-restart bests, reps and histories."""
     k, n, m = problem.k, problem.n, problem.m
-    iters = problem.max_iters
+    iters, restarts = problem.max_iters, problem.restarts
     maximize = problem.objective == "maximin"
     separation = max(problem.min_separation, MIN_SEPARATION)
-    rng = np.random.default_rng([problem.seed % (2**63), restart])
+    rngs = [np.random.default_rng([problem.seed % (2**63), r]) for r in range(restarts)]
 
-    flat = np.empty((m, n * k))
-    for r in range(m):
-        flat[r] = orthonormalize(rng.standard_normal((n, k))).ravel()
+    reps, independent = orthonormalize_stack(
+        np.stack([rng.standard_normal((m, n, k)) for rng in rngs])
+    )
+    if not independent.all():
+        raise RankDeficientError("initial members are numerically dependent")
 
+    # pairs in np.triu_indices order; member r sits in pairs pos[r] opposite partner[r]
     iu, ju = np.triu_indices(m, 1)
-    pos = [np.flatnonzero((iu == r) | (ju == r)) for r in range(m)]
-    partner = [np.where(iu[p] == r, ju[p], iu[p]) for r, p in enumerate(pos)]
+    pos = np.array([np.flatnonzero((iu == r) | (ju == r)) for r in range(m)])
+    partner = np.where(iu[pos] == np.arange(m)[:, None], ju[pos], iu[pos])
 
-    if k == 1:
-        line_value = _line_distance(metric.id)
-
-        def row_values(cand_flat, partners):
-            return line_value(np.abs(flat[partners] @ cand_flat))
-    else:
-        def row_values(cand_flat, partners):
-            return pair_distances(
-                metric, cand_flat.reshape(n, k), flat[partners].reshape(-1, n, k)
-            )
-
-    def true_objective(values):
-        return float(values.min()) if maximize else float(values.var())
-
-    def accept_score(values, beta):
-        # maximized in both modes; soft-min sharpens into min as temp drops
+    def score(values, beta):
+        """(Metropolis score, true objective) per row; the score is maximized."""
         if maximize:
-            lo = float(values.min())
-            return lo - math.log(float(np.exp(-beta * (values - lo)).sum())) / beta
-        return -float(values.var())
+            # soft-min: sharpens into the min as the temperature drops
+            lo = values.min(axis=-1)
+            soft = lo - np.log(np.exp((lo[..., None] - values) * beta).sum(axis=-1)) / beta
+            return soft, lo
+        var = values.var(axis=-1)
+        return -var, var
 
-    def schedule(start, final, i):
-        if iters == 1:
-            return final
-        return start * (final / start) ** (i / (iters - 1))
+    # vals[0] holds each restart's pair values, vals[1] those with the move applied
+    vals = np.empty((2, restarts, len(iu)))
+    vals[0] = pair_distances(metric, reps[:, iu], reps[:, ju])
+    best_value = score(vals[0], 1.0)[1]
+    best_reps = reps.copy()
+    best_iteration = np.zeros(restarts, dtype=int)
+    history = [[(0, float(v))] for v in best_value]
+    # flat views, so one integer array picks a member or pair in every restart
+    flat_reps = reps.reshape(restarts * m, n, k)
+    flat_moved = vals[1].reshape(-1)
+    rows = np.arange(restarts)
 
-    # one row of pairs per member, in the (iu, ju) order of np.triu_indices
-    vals = np.concatenate([row_values(flat[i], np.arange(i + 1, m)) for i in range(m - 1)])
-
-    best_value = true_objective(vals)
-    best_flat = flat.copy()
-    best_iteration = 0
-    history = [(0, best_value)]
-
-    for it in range(1, iters + 1):
-        temp = schedule(problem.temp_init, problem.temp_final, it - 1)
-        step = schedule(problem.step_init, problem.step_final, it - 1)
-        beta = 1.0 / temp
-        idx = int(rng.integers(m))
-        noise = rng.standard_normal((n, k))
-        if k == 1:
-            cand = flat[idx] + step * noise.ravel()
-            norm = math.sqrt(float(cand @ cand))
-            if norm == 0.0:
+    for start in range(0, iters, MOVE_BLOCK):
+        size = min(MOVE_BLOCK, iters - start)
+        draws = [(rng.integers(m, size=size), rng.standard_normal((size, n, k)), rng.random(size))
+                 for rng in rngs]
+        # block arrays lead with the iteration axis, then the restart axis
+        moved = np.stack([d[0] for d in draws], axis=1)
+        uniform = np.stack([d[2] for d in draws], axis=1)
+        i = np.arange(start, start + size)
+        betas = 1.0 / _schedule(problem.temp_init, problem.temp_final, iters, i)
+        steps = _schedule(problem.step_init, problem.step_final, iters, i)
+        moves = np.stack([d[1] for d in draws], axis=1) * steps[:, None, None, None]
+        members = moved + rows * m
+        partners = partner[moved] + rows[:, None] * m
+        pairs = pos[moved] + rows[:, None] * len(iu)
+        for it, member, partner_row, pair, move, u, beta in zip(
+            i + 1, members, partners, pairs, moves, uniform, betas
+        ):
+            current = flat_reps[member]
+            # a rank-deficient candidate's Q is finite, so the spectra stay
+            # NaN-free; `ok` rejects it
+            cand, ok = orthonormalize_stack(current + move)
+            new_row = pair_distances(metric, cand[:, None], flat_reps[partner_row])
+            ok &= new_row.min(axis=-1) >= separation
+            vals[1] = vals[0]
+            flat_moved[pair] = new_row
+            soft, value = score(vals, beta)
+            # Metropolis: accept a gain always, a loss delta with probability exp(delta / T)
+            accept = ok & (u < np.exp(np.minimum(soft[1] - soft[0], 0.0) * beta))
+            if not accept.any():
                 continue
-            cand = cand / norm
-        else:
-            try:
-                cand = orthonormalize(flat[idx].reshape(n, k) + step * noise).ravel()
-            except RankDeficientError:
-                continue
-        new_row = row_values(cand, partner[idx])
-        if float(new_row.min()) < separation:
-            continue
-        new_vals = vals.copy()
-        new_vals[pos[idx]] = new_row
-        delta = accept_score(new_vals, beta) - accept_score(vals, beta)
-        if delta < 0.0 and rng.random() >= math.exp(delta / temp):
-            continue
-        vals = new_vals
-        flat[idx] = cand
-        current = true_objective(vals)
-        improved = current > best_value if maximize else current < best_value
-        if improved:
-            best_value = current
-            best_iteration = it
-            best_flat = flat.copy()
-            history.append((it, current))
-    return best_value, best_flat, best_iteration, history
+            np.copyto(vals[0], vals[1], where=accept[:, None])
+            flat_reps[member] = np.where(accept[:, None, None], cand, current)
+            improved = accept & (value[1] > best_value if maximize else value[1] < best_value)
+            for r in np.flatnonzero(improved):
+                best_value[r] = value[1, r]
+                best_iteration[r] = it
+                best_reps[r] = reps[r]
+                history[r].append((int(it), float(value[1, r])))
+    return best_value, best_reps, best_iteration, history
 
 
 def solve(problem: PackingProblem) -> PackingResult:
     """Best family over all restarts; ties break to the lowest restart index."""
     metric = problem.validated_metric()
-    maximize = problem.objective == "maximin"
-    best = None
-    for restart in range(problem.restarts):
-        run = _run_restart(problem, metric, restart)
-        if best is None or (run[0] > best[0] if maximize else run[0] < best[0]):
-            best = run
-    value, flat, iteration, history = best
-    members = tuple(
-        Subspace(sign_fix_columns(flat[r].reshape(problem.n, problem.k)))
-        for r in range(problem.m)
-    )
+    values, reps, iterations, histories = _anneal(problem, metric)
+    best = int(np.argmax(values) if problem.objective == "maximin" else np.argmin(values))
+    members = tuple(Subspace(sign_fix_columns(rep)) for rep in reps[best])
     family = SubspaceFamily(
         problem.k,
         problem.n,
@@ -250,9 +257,11 @@ def solve(problem: PackingProblem) -> PackingResult:
     )
     return PackingResult(
         family=family,
-        objective_value=float(value),
-        best_iteration=int(iteration),
-        history=tuple((int(i), float(v)) for i, v in history),
+        objective_value=float(values[best]),
+        best_iteration=int(iterations[best]),
+        history=tuple(histories[best]),
+        restart_values=tuple(float(v) for v in values),
+        restart_iterations=tuple(int(i) for i in iterations),
     )
 
 

@@ -96,6 +96,11 @@ class Certificate:
         return doc
 
 
+def _check_tolerance(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+
+
 def pairwise_distances(family: SubspaceFamily, metric, eps_angle: float = EPS_ANGLE) -> np.ndarray:
     """Condensed vector of pairwise distances in (i < j) lexicographic order."""
     metric = get_metric(metric)
@@ -114,6 +119,7 @@ def check_equiangular(
     eps_angle: float = EPS_ANGLE,
 ) -> EquiangularReport:
     """Scan all pairs; the common value is the mean, the verdict its max deviation."""
+    _check_tolerance(tol)
     metric = get_metric(metric)
     if len(family) < 2:
         raise FamilyTooSmallError(
@@ -177,7 +183,8 @@ def polynomial_certificate(
     polynomial at every projector and checks the diagonal/off-diagonal
     structure plus m <= C(C(n+1,2)+k-1, k).
     """
-    if alpha <= eps_angle:
+    _check_tolerance(tol)
+    if not alpha > eps_angle:  # NaN fails this too
         raise AlphaZeroError(
             f"certificate requires alpha > 0 (got {alpha!r}); "
             "the bound does not hold at alpha = 0"

@@ -244,6 +244,43 @@ def test_certify_alpha_zero_exit_2(lift_file):
     assert main(["certify", str(lift_file), "--alpha", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "{lift}", "thetaF", "--tolerance", "nan"],
+        ["verify", "{lift}", "thetaF", "--tolerance", "-1"],
+        ["verify", "{lift}", "thetaF", "--tolerance", "inf", "--format", "json"],
+        ["certify", "{lift}", "--alpha", "nan"],
+        ["certify", "{lift}", "--alpha", "nan", "--format", "json"],
+        ["certify", "{lift}", "--alpha", "1.0471975511965976", "--tolerance", "nan"],
+        ["certify", "{lift}", "--alpha", "1.0471975511965976", "--tolerance", "-1"],
+    ],
+)
+def test_bad_verdict_threshold_exit_2(lift_file, args, capsys):
+    assert main([arg.format(lift=lift_file) for arg in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["construct", "simplex-lines", "n=2", "-o", "{tmp}/lines.json"],
+        ["bounds", "2", "6"],
+        ["pack", "{tmp}/problem.json"],
+        ["lines-catalog"],
+    ],
+)
+def test_tol_rejected_where_unused(tmp_path, args, capsys):
+    # --tol is offered only by the commands that read or range-check eps_angle
+    (tmp_path / "problem.json").write_text(json.dumps({"k": 1, "n": 2, "m": 3, "metric": "thetaK"}))
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(tmp=tmp_path) for arg in args] + ["--tol", "1e-8"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def test_bounds_tables(capsys):
     assert main(["bounds", "1", "7", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

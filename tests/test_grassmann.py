@@ -94,6 +94,12 @@ def test_principal_angles_forced_spectrum():
         v = Subspace(frame[:, :2] * np.cos(t) + frame[:, 2:4] * np.sin(t))
         got = principal_angles(u, v)
         assert np.all(np.abs(got - t) <= 1e-6 * t + 1e-15), (t, got)
+    # planted line pairs, which take the direct k = 1 route
+    for t in planted:
+        u = Subspace(frame[:, :1])
+        v = Subspace(frame[:, :1] * np.cos(t) + frame[:, 1:2] * np.sin(t))
+        got = principal_angles(u, v)
+        assert np.all(np.abs(got - t) <= 1e-6 * t + 1e-15), (t, got)
 
 
 def test_principal_angles_match_eigenvalue_route():
@@ -112,6 +118,9 @@ def test_spectra_rejects_cosines_above_one():
     # a non-orthonormal stack gives a cosine of 1.5: a bug, not roundoff
     with pytest.raises(ClampError):
         spectra(np.eye(3)[:, :2], 1.5 * np.eye(3)[:, :2])
+    lines = np.eye(3)[:, :1]
+    with pytest.raises(ClampError):
+        spectra(np.stack([lines, lines]), np.stack([lines, 1.5 * lines]))
 
 
 def test_principal_angles_dimension_mismatch():

@@ -14,6 +14,7 @@ from grasspack.linalg import (
     clamp_unit_interval,
     determinant,
     orthonormalize,
+    orthonormalize_stack,
     singular_values,
     symmetric_eigenvalues,
 )
@@ -90,6 +91,23 @@ def test_orthonormalize_rank_deficient_raises():
     a = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
     with pytest.raises(RankDeficientError):
         orthonormalize(a)
+
+
+def test_orthonormalize_stack_matches_orthonormalize():
+    rng = np.random.default_rng(41)
+    for k in (1, 2, 3):
+        stack = rng.standard_normal((4, 2, 5, k))
+        stack[1, 0] = 0.0  # rank deficient: a zero column
+        q, independent = orthonormalize_stack(stack)
+        assert q.shape == stack.shape and np.all(np.isfinite(q))
+        assert independent.tolist() == [[True, True], [False, True], [True, True], [True, True]]
+        for idx in [(0, 0), (1, 1), (2, 0), (3, 1)]:
+            if k == 1:  # divided by the norm directly, not through LAPACK
+                np.testing.assert_allclose(q[idx], orthonormalize(stack[idx]), atol=1e-15)
+            else:
+                assert np.array_equal(q[idx], orthonormalize(stack[idx]))
+    dependent = np.array([[[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]])
+    assert orthonormalize_stack(dependent)[1].tolist() == [False]
 
 
 def test_orthonormalize_more_cols_than_rows_raises():

@@ -95,6 +95,34 @@ def test_solve_orthogonal_planes_chordal():
     assert result.objective_value == pytest.approx(math.sqrt(2.0), abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(n=3, m=5),
+        dict(k=2, n=4, m=3, metric="chordal"),
+        dict(objective="equiangular_variance", min_separation=0.3, m=4),
+    ],
+    ids=["thetaK-lines", "chordal-planes", "variance"],
+)
+def test_restart_results_do_not_depend_on_restart_count(overrides):
+    # restart r draws only from its own (seed, r) stream, so running it
+    # beside 1 or 4 others must not change a bit of its result
+    two = solve(small_problem(restarts=2, max_iters=1200, **overrides))
+    five = solve(small_problem(restarts=5, max_iters=1200, **overrides))
+    assert len(five.restart_values) == len(five.restart_iterations) == 5
+    assert two.restart_values == five.restart_values[:2]
+    assert two.restart_iterations == five.restart_iterations[:2]
+    assert two.objective_value in two.restart_values
+
+
+def test_unsatisfiable_separation_rejects_every_move():
+    # three lines in R^2 are at most pi/3 apart, so no move clears 1.5
+    result = solve(small_problem(min_separation=1.5, restarts=2, max_iters=500))
+    assert result.best_iteration == 0
+    assert len(result.history) == 1
+    assert result.restart_iterations == (0, 0)
+
+
 def test_solve_reproducible():
     problem = small_problem(restarts=2, max_iters=1500)
     a = solve(problem)
