@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -24,12 +23,7 @@ from .constructions import (
     plucker_line_family,
     simplex_lines,
 )
-from .errors import (
-    BadParamsError,
-    GrasspackError,
-    IndexOutOfRangeError,
-    UnknownKindError,
-)
+from .errors import BadParamsError, GrasspackError, IndexOutOfRangeError
 from .family_io import (
     dumps_json,
     family_to_doc,
@@ -56,8 +50,6 @@ from .verify import (
     check_equiangular,
 )
 
-SEED_ENV_VAR = "GRASSPACK_SEED"
-
 LINE_CATALOG = (
     {
         "kind": "simplex-lines",
@@ -83,16 +75,6 @@ LINE_CATALOG = (
 def _tolerances(args) -> float:
     """The eps_angle that --tol sets (EPS_ANGLE when absent)."""
     return EPS_ANGLE if args.tol is None else check_eps_angle(args.tol)
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadParamsError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def _print_doc(doc: dict, args) -> None:
@@ -133,7 +115,6 @@ def _require(params: dict, *names: str) -> None:
 
 
 def cmd_angles(args) -> int:
-    _tolerances(args)  # range-checked only: the angles do not depend on eps_angle
     family = load_family(args.file)
     u, v = _member_pair(family, args.i, args.j)
     spectrum = principal_angles(u, v)
@@ -225,8 +206,6 @@ def cmd_construct(args) -> int:
             out, lines, {"construction": kind, "source_k": family.k, "source_n": family.n}
         )
         summary = f"{lines.size} lines in R^{lines.n}"
-    else:
-        raise UnknownKindError(f"unknown construction kind {kind!r}")
     print(f"wrote {summary} to {out}")
     return 0
 
@@ -290,7 +269,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_pack(args) -> int:
     doc = read_json(args.problem)
-    problem = PackingProblem.from_dict(doc, default_seed=_default_seed())
+    problem = PackingProblem.from_dict(doc)
     result = solve(problem)
     out = Path(args.out) if args.out else Path(args.problem).with_suffix(".result.json")
     result_doc = {
@@ -315,7 +294,6 @@ def cmd_pack(args) -> int:
 
 
 def cmd_complement(args) -> int:
-    _tolerances(args)  # range-checked only: complements do not depend on eps_angle
     family = load_family(args.file)
     comp = complement_family(family)
     save_family(Path(args.out), comp)
@@ -340,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    # only the commands that read or range-check eps_angle offer --tol
+    # only the commands that read eps_angle offer --tol
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument(
         "--tol",
@@ -355,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("angles", parents=[common, tol], help="principal angles of a member pair")
+    p = sub.add_parser("angles", parents=[common], help="principal angles of a member pair")
     p.add_argument("file")
     p.add_argument("i", type=int)
     p.add_argument("j", type=int)
@@ -411,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", default=None, help="also write the history as CSV")
     p.set_defaults(func=cmd_pack)
 
-    p = sub.add_parser("complement", parents=[common, tol], help="member-wise orthogonal complement")
+    p = sub.add_parser("complement", parents=[common], help="member-wise orthogonal complement")
     p.add_argument("file")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_complement)

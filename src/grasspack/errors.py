@@ -61,9 +61,5 @@ class UnknownMetricError(GrasspackError):
     """Metric name not found in the registry."""
 
 
-class UnknownKindError(GrasspackError):
-    """Unrecognized construction kind."""
-
-
 class BadParamsError(GrasspackError):
     """Construction parameters missing or malformed."""

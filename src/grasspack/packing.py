@@ -3,7 +3,14 @@
 One annealing move perturbs a single member and re-orthonormalizes; the
 maximin objective is smoothed with a soft-min whose sharpness follows the
 temperature schedule, while the best-so-far bookkeeping always uses the true
-objective.
+objective.  The step and temperature schedules are the module constants STEP
+and TEMPERATURE, not problem fields.
+
+A problem file holds the nine PackingProblem fields as JSON values: integers
+for k, n, m, seed, restarts and max_iters, a number for min_separation and
+strings for metric and objective.  `from_dict` rejects every other type,
+booleans included, and converts nothing but an integer min_separation (to
+float); seed defaults to 0.
 
 All restarts run in lockstep as one array program: the members are an
 (R, m, n, k) stack and the pair values R rows, so each iteration moves one
@@ -22,7 +29,7 @@ run beside it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -33,7 +40,15 @@ from .linalg import orthonormalize, orthonormalize_stack
 from .metrics import Metric, get_metric, pair_distances
 
 OBJECTIVES = ("maximin", "equiangular_variance")
-_FLOAT_FIELDS = ("step_init", "step_final", "temp_init", "temp_final", "min_separation")
+
+# JSON types a problem-file field accepts, keyed by its annotation (a string,
+# under `from __future__ import annotations`).  `from_dict` compares exact
+# types, so JSON true/false (bool subclasses int) fail every check.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+# Geometric schedules as (first iteration, last iteration) values.
+STEP = (0.5, 3e-4)
+TEMPERATURE = (0.2, 1e-7)
 
 # Moves that bring a pair closer than this are rejected outright: collapsed
 # members would violate the family distinctness invariant (and make the
@@ -46,7 +61,7 @@ MOVE_BLOCK = 256
 
 @dataclass(frozen=True)
 class PackingProblem:
-    """Search configuration; step/temperature schedules are geometric."""
+    """What to search for and on what budget; the schedules are STEP and TEMPERATURE."""
 
     k: int
     n: int
@@ -56,10 +71,6 @@ class PackingProblem:
     seed: int = 0
     restarts: int = 16
     max_iters: int = 20000
-    step_init: float = 0.5
-    step_final: float = 3e-4
-    temp_init: float = 0.2
-    temp_final: float = 1e-7
     # Pairwise-distance floor enforced during the search.  The variance
     # objective is scale-degenerate (clusters shrinking toward coincidence
     # drive the variance to zero while staying distinct), so equiangularity
@@ -72,10 +83,10 @@ class PackingProblem:
             metric = get_metric(self.metric)
         except UnknownMetricError as exc:
             raise InvalidProblemError(str(exc)) from None
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidProblemError(f"{name} must be finite, got {value!r}")
+        if not math.isfinite(self.min_separation):
+            raise InvalidProblemError(
+                f"min_separation must be finite, got {self.min_separation!r}"
+            )
         if self.m < 2:
             raise InvalidProblemError(f"need m >= 2 members, got {self.m}")
         if not 1 <= self.k <= self.n:
@@ -86,10 +97,6 @@ class PackingProblem:
             )
         if self.restarts < 1 or self.max_iters < 1:
             raise InvalidProblemError("restarts and max_iters must be positive")
-        if not 0.0 < self.step_final <= self.step_init:
-            raise InvalidProblemError("need 0 < step_final <= step_init")
-        if not 0.0 < self.temp_final <= self.temp_init:
-            raise InvalidProblemError("need 0 < temp_final <= temp_init")
         if self.min_separation < 0.0:
             raise InvalidProblemError("min_separation must be >= 0")
         if (
@@ -107,30 +114,27 @@ class PackingProblem:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, doc, default_seed: int = 0) -> "PackingProblem":
+    def from_dict(cls, doc) -> "PackingProblem":
         if not isinstance(doc, dict):
             raise InvalidProblemError("packing problem must be a JSON object")
-        field_names = tuple(cls.__dataclass_fields__)
-        unknown = sorted(set(doc) - set(field_names))
+        types = {field.name: field.type for field in fields(cls)}
+        unknown = sorted(set(doc) - set(types))
         if unknown:
             raise InvalidProblemError(f"unknown problem fields: {unknown}")
         missing = sorted({"k", "n", "m", "metric"} - set(doc))
         if missing:
             raise InvalidProblemError(f"missing problem fields: {missing}")
-        kwargs: dict = {"seed": default_seed}
-        try:
-            for name in field_names:
-                if name not in doc:
-                    continue
-                value = doc[name]
-                if name in ("k", "n", "m", "seed", "restarts", "max_iters"):
-                    kwargs[name] = int(value)
-                elif name in ("metric", "objective"):
-                    kwargs[name] = str(value)
-                else:
-                    kwargs[name] = float(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidProblemError(f"bad problem field value: {exc}") from None
+        for name, value in doc.items():
+            if type(value) not in _JSON_TYPES[types[name]]:
+                raise InvalidProblemError(
+                    f"bad problem field value: {name} must be {types[name]}, got {value!r}"
+                )
+        kwargs = dict(doc)
+        if "min_separation" in doc:
+            try:
+                kwargs["min_separation"] = float(doc["min_separation"])
+            except OverflowError as exc:
+                raise InvalidProblemError(f"bad problem field value: {exc}") from None
         problem = cls(**kwargs)
         problem.validated_metric()
         return problem
@@ -205,8 +209,8 @@ def _anneal(problem: PackingProblem, metric: Metric):
         moved = np.stack([d[0] for d in draws], axis=1)
         uniform = np.stack([d[2] for d in draws], axis=1)
         i = np.arange(start, start + size)
-        betas = 1.0 / _schedule(problem.temp_init, problem.temp_final, iters, i)
-        steps = _schedule(problem.step_init, problem.step_final, iters, i)
+        betas = 1.0 / _schedule(*TEMPERATURE, iters, i)
+        steps = _schedule(*STEP, iters, i)
         moves = np.stack([d[1] for d in draws], axis=1) * steps[:, None, None, None]
         members = moved + rows * m
         partners = partner[moved] + rows[:, None] * m

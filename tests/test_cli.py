@@ -175,15 +175,13 @@ def test_distance_respects_tol_flag(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(a, rel=1e-6)
 
 
-@pytest.mark.parametrize("command", ["distance", "verify", "certify", "angles", "complement"])
+@pytest.mark.parametrize("command", ["distance", "verify", "certify"])
 @pytest.mark.parametrize("bad", ["0", "-1e-8", "0.5", "nan"])
 def test_tol_out_of_range_exit_2(lift_file, tmp_path, command, bad, capsys):
     args = {
         "distance": ["distance", str(lift_file), "thetaF", "0", "1"],
         "verify": ["verify", str(lift_file), "thetaF"],
         "certify": ["certify", str(lift_file), "--alpha", "1.0"],
-        "angles": ["angles", str(lift_file), "0", "1"],
-        "complement": ["complement", str(lift_file), "-o", str(tmp_path / "comp.json")],
     }[command]
     assert main(args + [f"--tol={bad}"]) == 2
     captured = capsys.readouterr()
@@ -270,13 +268,15 @@ def test_bad_verdict_threshold_exit_2(lift_file, args, capsys):
         ["bounds", "2", "6"],
         ["pack", "{tmp}/problem.json"],
         ["lines-catalog"],
+        ["angles", "{lift}", "0", "1"],
+        ["complement", "{lift}", "-o", "{tmp}/comp.json"],
     ],
 )
-def test_tol_rejected_where_unused(tmp_path, args, capsys):
-    # --tol is offered only by the commands that read or range-check eps_angle
+def test_tol_rejected_where_unused(tmp_path, lift_file, args, capsys):
+    # --tol is offered only by the commands that read eps_angle
     (tmp_path / "problem.json").write_text(json.dumps({"k": 1, "n": 2, "m": 3, "metric": "thetaK"}))
     with pytest.raises(SystemExit) as info:
-        main([arg.format(tmp=tmp_path) for arg in args] + ["--tol", "1e-8"])
+        main([arg.format(tmp=tmp_path, lift=lift_file) for arg in args] + ["--tol", "1e-8"])
     assert info.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
@@ -387,19 +387,41 @@ def test_pack_deterministic_bytes(tmp_path, capsys):
 
 
 def test_pack_env_seed_override(tmp_path, monkeypatch):
+    # the seed comes only from the problem file (default 0), never the environment
     problem = {"k": 1, "n": 2, "m": 3, "metric": "thetaK", "restarts": 1, "max_iters": 300}
     src = tmp_path / "problem.json"
     src.write_text(json.dumps(problem))
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
-    monkeypatch.setenv("GRASSPACK_SEED", "1")
+    monkeypatch.delenv("GRASSPACK_SEED", raising=False)
     assert main(["pack", str(src), "-o", str(out_a)]) == 0
     monkeypatch.setenv("GRASSPACK_SEED", "2")
     assert main(["pack", str(src), "-o", str(out_b)]) == 0
-    seed_a = json.loads(out_a.read_text())["problem"]["seed"]
-    seed_b = json.loads(out_b.read_text())["problem"]["seed"]
-    assert (seed_a, seed_b) == (1, 2)
-    assert out_a.read_bytes() != out_b.read_bytes()
+    assert json.loads(out_a.read_text())["problem"]["seed"] == 0
+    assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_pack_result_problem_reruns_identically(tmp_path):
+    # the result's problem echo is itself a valid problem file for the same run
+    problem = {
+        "k": 2,
+        "n": 4,
+        "m": 3,
+        "metric": "chordal",
+        "objective": "equiangular_variance",
+        "restarts": 2,
+        "max_iters": 300,
+        "min_separation": 0.2,
+    }
+    src = tmp_path / "problem.json"
+    src.write_text(json.dumps(problem))
+    first = tmp_path / "first.json"
+    assert main(["pack", str(src), "-o", str(first)]) == 0
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(json.loads(first.read_text())["problem"]))
+    again = tmp_path / "again.json"
+    assert main(["pack", str(echo), "-o", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_pack_invalid_problem_exit_2(tmp_path, capsys):
@@ -417,8 +439,6 @@ def test_pack_invalid_problem_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "field, text, shown",
     [
-        ("temp_init", "1e400", "inf"),
-        ("step_init", "Infinity", "inf"),
         ("min_separation", "NaN", "nan"),
     ],
 )
@@ -429,6 +449,35 @@ def test_pack_non_finite_field_exit_2(tmp_path, capsys, field, text, shown):
     assert main(["pack", str(src), "-o", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {field} must be finite, got {shown}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        ("k", "true"),
+        ("m", "3.9"),
+        ("restarts", '"2"'),
+        ("seed", '"7"'),
+        ("min_separation", '"0.1"'),
+    ],
+)
+def test_pack_field_type_exit_2(tmp_path, capsys, field, text):
+    # problem files are type-checked, not coerced to the field's type
+    src = tmp_path / "problem.json"
+    src.write_text(f'{{"k": 1, "n": 2, "m": 3, "metric": "thetaK", "{field}": {text}}}')
+    out = tmp_path / "result.json"
+    assert main(["pack", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad problem field value: {field} must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["step_init", "step_final", "temp_init", "temp_final"])
+def test_pack_schedule_field_exit_2(tmp_path, capsys, field):
+    # the annealing schedule is fixed in the packer, not set per problem
+    src = tmp_path / "problem.json"
+    src.write_text(json.dumps({"k": 1, "n": 2, "m": 3, "metric": "thetaK", field: 0.1}))
+    assert main(["pack", str(src), "-o", str(tmp_path / "result.json")]) == 2
+    assert capsys.readouterr().err == f"error: unknown problem fields: ['{field}']\n"
 
 
 def test_malformed_family_file_exit_2(tmp_path, capsys):

@@ -47,9 +47,7 @@ def test_invalid_problems_rejected():
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
-@pytest.mark.parametrize(
-    "field", ["step_init", "step_final", "temp_init", "temp_final", "min_separation"]
-)
+@pytest.mark.parametrize("field", ["min_separation"])
 def test_non_finite_float_fields_rejected(field, bad):
     with pytest.raises(InvalidProblemError, match=f"{field} must be finite"):
         small_problem(**{field: bad}).validated_metric()
@@ -72,10 +70,34 @@ def test_from_dict_round_trip_and_validation():
         PackingProblem.from_dict({"k": 1, "n": 2, "m": 3, "metric": "thetaK", "restarts": 1e400})
 
 
-def test_from_dict_default_seed():
-    doc = {"k": 1, "n": 2, "m": 3, "metric": "thetaK"}
-    assert PackingProblem.from_dict(doc, default_seed=99).seed == 99
-    assert PackingProblem.from_dict(dict(doc, seed=5), default_seed=99).seed == 5
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", 2.0),
+        ("max_iters", None),
+        ("seed", False),
+        ("min_separation", True),
+        ("metric", 1),
+        ("objective", ["maximin"]),
+    ],
+    ids=["n-float", "max_iters-null", "seed-bool", "min_separation-bool", "metric-int", "objective-list"],
+)
+def test_from_dict_requires_json_types(field, value):
+    # problem files are type-checked, never coerced: booleans fail every check
+    # (test_cli.py::test_pack_field_type_exit_2 runs the other cases end to end)
+    doc = dict({"k": 1, "n": 2, "m": 3, "metric": "thetaK"}, **{field: value})
+    with pytest.raises(InvalidProblemError, match=f"bad problem field value: {field} must be"):
+        PackingProblem.from_dict(doc)
+
+
+def test_from_dict_accepts_json_types():
+    doc = {"k": 1, "n": 2, "m": 3, "metric": "thetaK", "min_separation": 0}
+    problem = PackingProblem.from_dict(doc)
+    assert problem.seed == 0
+    assert type(problem.min_separation) is float
+    assert PackingProblem.from_dict(dict(doc, min_separation=0.25)).min_separation == 0.25
+    with pytest.raises(InvalidProblemError, match="bad problem field value"):
+        PackingProblem.from_dict(dict(doc, min_separation=10**400))
 
 
 def test_solve_three_lines_in_plane():
