@@ -5,7 +5,9 @@ angle computation goes through `spectra`, which takes whole stacks of
 representatives at once: the cosines are the singular values of the k x k
 cross-Grams U^T V, the sines those of the residuals V - U U^T V, and each
 angle is read from whichever of the two resolves it to full accuracy
-(Bjorck & Golub 1973; Knyazev & Argentati 2002).
+(Bjorck & Golub 1973; Knyazev & Argentati 2002).  `cross_residual` forms
+both stacks; the chordal distance reads the residuals' Frobenius norms from
+it without taking angles.
 """
 
 from __future__ import annotations
@@ -79,6 +81,35 @@ def require_same_grassmannian(u: Subspace, v: Subspace) -> None:
         )
 
 
+def cross_residual(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-Grams A^T B and residuals B - A (A^T B) of two representative stacks.
+
+    The singular values of the cross-Grams are the cosines of the principal
+    angles and those of the residuals their sines.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    cross = np.swapaxes(a, -1, -2) @ b
+    return cross, b - a @ cross
+
+
+def cosines(cross) -> np.ndarray:
+    """Singular values, descending, of a (..., k, k) stack of cross-Grams.
+
+    These are the cosines of the principal angles; for lines (k = 1) the one
+    singular value is |a^T b|, taken directly.  Raises ClampError when one
+    exceeds 1 + CLAMP_SLACK: for orthonormal representatives that is a bug,
+    not roundoff.
+    """
+    if cross.shape[-1] == 1:
+        cos = np.abs(cross[..., 0])
+    else:
+        cos = np.linalg.svd(cross, compute_uv=False)
+    if (cos > 1.0 + CLAMP_SLACK).any():
+        raise ClampError(f"cosine {float(cos.max())!r} is too far above 1 to be roundoff")
+    return cos
+
+
 def spectra(a, b) -> np.ndarray:
     """Principal angles in radians, ascending, of every pair in two stacks.
 
@@ -89,18 +120,12 @@ def spectra(a, b) -> np.ndarray:
     are the arccosines of the singular values of A^T B.  For lines (k = 1)
     those singular values are |a^T b| and |b - a (a^T b)|, taken directly.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    cross = np.swapaxes(a, -1, -2) @ b
-    residual = b - a @ cross
-    if a.shape[-1] == 1:
-        cos = np.abs(cross[..., 0])
+    cross, residual = cross_residual(a, b)
+    cos = cosines(cross)  # descending: angles ascending
+    if cross.shape[-1] == 1:
         sin = np.sqrt((residual * residual).sum(axis=-2))
     else:
-        cos = np.linalg.svd(cross, compute_uv=False)  # descending: angles ascending
         sin = np.linalg.svd(residual, compute_uv=False)[..., ::-1]
-    if (cos > 1.0 + CLAMP_SLACK).any():
-        raise ClampError(f"cosine {float(cos.max())!r} is too far above 1 to be roundoff")
     small = cos > _COS_PI_4
     return np.where(small, np.arcsin(np.minimum(sin, 1.0)), np.arccos(np.minimum(cos, 1.0)))
 

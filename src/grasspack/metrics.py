@@ -5,6 +5,12 @@ angles; chordal, geodesic and Fubini-Study are derived functions of the
 spectrum.  Every evaluator reduces over the last axis, so one formula serves
 a single spectrum and a whole stack of them.  All are pure and symmetric in
 their two subspaces.
+
+On representatives, `pair_distances` reads Fubini-Study from a determinant
+of the cross-Grams and chordal from the Frobenius norms of the residuals
+(their singular values are the sines), so neither runs the angle SVDs; the
+rest come from `spectra`.  The spectrum forms stay for callers that already
+hold a spectrum and as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownMetricError
-from .grassmann import Subspace, require_same_grassmannian, spectra
-from .linalg import EPS_ANGLE, clamp_unit_interval
+from .grassmann import Subspace, cosines, cross_residual, require_same_grassmannian, spectra
+from .linalg import CLAMP_SLACK, EPS_ANGLE, clamp_unit_interval
 
 
 @dataclass(frozen=True)
@@ -117,12 +123,25 @@ def pair_distances(metric, a, b, eps_angle: float = EPS_ANGLE):
     """Distances between paired members of two (..., n, k) representative stacks.
 
     The stacks broadcast against each other.  Fubini-Study is read from a
-    batched determinant of the cross-Grams; every other metric from `spectra`.
+    batched determinant of the cross-Grams A^T B and chordal from the
+    Frobenius norms of the residuals B - A (A^T B), whose singular values are
+    the sines of the principal angles; every other metric from `spectra`.
+    The chordal branch keeps `spectra`'s ClampError guard: the largest
+    cosine is at most the cross-Gram's Frobenius norm, so only cross-Grams
+    whose squared norm exceeds 1 + CLAMP_SLACK need their singular values
+    (that filter sits about CLAMP_SLACK / 2 below the guard, far more than
+    the norm's roundoff).  For lines the norm is |a^T b| and no SVD runs.
     """
     metric = get_metric(metric)
     if metric.id == "fubini_study":
         cross = np.swapaxes(np.asarray(a, dtype=float), -1, -2) @ b
         return np.arccos(clamp_unit_interval(np.abs(np.linalg.det(cross))))
+    if metric.id == "chordal":
+        cross, residual = cross_residual(a, b)
+        near = (cross * cross).sum(axis=(-2, -1)) > 1.0 + CLAMP_SLACK
+        if near.any():
+            cosines(cross[near])
+        return np.sqrt((residual * residual).sum(axis=(-2, -1)))
     return from_spectrum(metric, spectra(a, b), eps_angle)
 
 

@@ -6,11 +6,11 @@ temperature schedule, while the best-so-far bookkeeping always uses the true
 objective.  The step and temperature schedules are the module constants STEP
 and TEMPERATURE, not problem fields.
 
-A problem file holds the nine PackingProblem fields as JSON values: integers
-for k, n, m, seed, restarts and max_iters, a number for min_separation and
-strings for metric and objective.  `from_dict` rejects every other type,
-booleans included, and converts nothing but an integer min_separation (to
-float); seed defaults to 0.
+A problem holds nine fields of JSON types: integers for k, n, m, seed,
+restarts and max_iters, a number for min_separation and strings for metric
+and objective.  `validated_metric`, which `from_dict` and `solve` both run,
+rejects every other type, booleans included; `from_dict` converts nothing
+but an integer min_separation (to float), and seed defaults to 0.
 
 All restarts run in lockstep as one array program: the members are an
 (R, m, n, k) stack and the pair values R rows, so each iteration moves one
@@ -29,7 +29,7 @@ run beside it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -41,9 +41,10 @@ from .metrics import Metric, get_metric, pair_distances
 
 OBJECTIVES = ("maximin", "equiangular_variance")
 
-# JSON types a problem-file field accepts, keyed by its annotation (a string,
-# under `from __future__ import annotations`).  `from_dict` compares exact
-# types, so JSON true/false (bool subclasses int) fail every check.
+# Types a problem field accepts, keyed by its annotation (a string, under
+# `from __future__ import annotations`): the JSON types of a problem file.
+# `validated_metric` compares exact types, so true/false (bool subclasses
+# int) fail every check.
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 # Geometric schedules as (first iteration, last iteration) values.
@@ -78,12 +79,22 @@ class PackingProblem:
     min_separation: float = MIN_SEPARATION
 
     def validated_metric(self) -> Metric:
-        """Check the problem invariants; returns the resolved Metric."""
+        """Check the field types and problem invariants; returns the resolved Metric."""
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if type(value) not in _JSON_TYPES[field.type]:
+                raise InvalidProblemError(
+                    f"bad problem field value: {field.name} must be {field.type}, got {value!r}"
+                )
         try:
             metric = get_metric(self.metric)
         except UnknownMetricError as exc:
             raise InvalidProblemError(str(exc)) from None
-        if not math.isfinite(self.min_separation):
+        try:
+            finite = math.isfinite(self.min_separation)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise InvalidProblemError(f"bad problem field value: {exc}") from None
+        if not finite:
             raise InvalidProblemError(
                 f"min_separation must be finite, got {self.min_separation!r}"
             )
@@ -117,27 +128,15 @@ class PackingProblem:
     def from_dict(cls, doc) -> "PackingProblem":
         if not isinstance(doc, dict):
             raise InvalidProblemError("packing problem must be a JSON object")
-        types = {field.name: field.type for field in fields(cls)}
-        unknown = sorted(set(doc) - set(types))
+        unknown = sorted(set(doc) - {field.name for field in fields(cls)})
         if unknown:
             raise InvalidProblemError(f"unknown problem fields: {unknown}")
         missing = sorted({"k", "n", "m", "metric"} - set(doc))
         if missing:
             raise InvalidProblemError(f"missing problem fields: {missing}")
-        for name, value in doc.items():
-            if type(value) not in _JSON_TYPES[types[name]]:
-                raise InvalidProblemError(
-                    f"bad problem field value: {name} must be {types[name]}, got {value!r}"
-                )
-        kwargs = dict(doc)
-        if "min_separation" in doc:
-            try:
-                kwargs["min_separation"] = float(doc["min_separation"])
-            except OverflowError as exc:
-                raise InvalidProblemError(f"bad problem field value: {exc}") from None
-        problem = cls(**kwargs)
+        problem = cls(**doc)
         problem.validated_metric()
-        return problem
+        return replace(problem, min_separation=float(problem.min_separation))
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from grasspack.constructions import lift_lines_to_subspaces, simplex_lines
-from grasspack.errors import UnknownMetricError
-from grasspack.grassmann import complement, random_subspace, subspace_from_spanning
+from grasspack.errors import ClampError, UnknownMetricError
+from grasspack.grassmann import (
+    Subspace,
+    complement,
+    random_subspace,
+    spectra,
+    subspace_from_spanning,
+)
+from grasspack.linalg import orthonormalize
 from grasspack.metrics import (
     CHORDAL,
     FUBINI_STUDY,
@@ -18,6 +25,7 @@ from grasspack.metrics import (
     evaluate,
     fubini_study,
     fubini_study_from_spectrum,
+    from_spectrum,
     geodesic,
     get_metric,
     pair_distances,
@@ -93,6 +101,80 @@ def test_chordal_angle_form_equals_trace_form():
         assert evaluate(CHORDAL, u, v) == pytest.approx(
             chordal_trace_form(u, v), abs=1e-9
         )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chordal_residual_norm_matches_angle_route(k):
+    rng = np.random.default_rng(113 + k)
+    us = [random_subspace(7, k, rng) for _ in range(20)]
+    vs = [random_subspace(7, k, rng) for _ in range(20)]
+    a = np.array([u.rep for u in us])
+    b = np.array([v.rep for v in vs])
+    got = pair_distances(CHORDAL, a, b)
+    np.testing.assert_allclose(got, from_spectrum(CHORDAL, spectra(a, b)), rtol=1e-12)
+    np.testing.assert_allclose(got, [chordal_trace_form(u, v) for u, v in zip(us, vs)], rtol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chordal_residual_norm_on_planted_angles(k):
+    # V = U cos(T) + W sin(T) with angles T from 1e-12 to pi/2, k at a time
+    planted = [1e-12, 1e-9, 3e-8, 1e-6, 1e-3, 0.5, 1.2, np.pi / 2]
+    # in a signed-permutation frame the planted pair is stored exactly, so the
+    # residual norm must give sqrt(sum sin^2 T) to roundoff
+    exact = np.eye(6)[[3, 0, 5, 1, 4, 2]] * np.array([1, -1, 1, 1, -1, -1])
+    # in a random frame, rounding V moves the stored pair by ~1e-17 (1e-5 of
+    # the smallest angle): there the two routes must agree with each other,
+    # and with sqrt(sum sin^2 T) at test_principal_angles_forced_spectrum's bound
+    rotated = orthonormalize(np.random.default_rng(29).standard_normal((6, 6)))
+    for i in range(len(planted) - k + 1):
+        t = np.array(planted[i : i + k])
+        want = np.sqrt((np.sin(t) ** 2).sum())
+        for frame in (exact, rotated):
+            u = Subspace(frame[:, :k])
+            v = Subspace(frame[:, :k] * np.cos(t) + frame[:, k : 2 * k] * np.sin(t))
+            got = pair_distances(CHORDAL, u.rep, v.rep)
+            assert got == pytest.approx(from_spectrum(CHORDAL, spectra(u.rep, v.rep)), rel=1e-12)
+            assert got == pytest.approx(chordal_trace_form(u, v), abs=1e-8)
+            if frame is exact:
+                assert got == pytest.approx(want, rel=1e-12), (t, got)
+            else:
+                assert abs(got - want) <= 1e-6 * want + 1e-15, (t, got)
+
+
+@pytest.mark.parametrize(
+    "cosines",
+    [(1.5, 1.5), (1.2, 0.5), (1.5,)],
+    ids=["both-above", "norm-below-k", "line"],
+)
+def test_chordal_residual_norm_keeps_clamp_guard(cosines):
+    # cross-Grams with singular values above 1: the branch raises as spectra
+    # does, with the same text; (1.2, 0.5) has ||C||_F^2 = 1.69 < k = 2
+    k = len(cosines)
+    a = np.eye(4)[:, :k]
+    b = a * np.array(cosines)
+    stack = np.stack([a, a, a]), np.stack([a, b, np.eye(4)[:, 2 : 2 + k]])
+    for pair in ((a, b), stack):
+        with pytest.raises(ClampError) as from_spectra:
+            spectra(*pair)
+        with pytest.raises(ClampError) as from_branch:
+            pair_distances(CHORDAL, *pair)
+        assert str(from_branch.value) == str(from_spectra.value)
+
+
+def test_chordal_residual_norm_accepts_valid_near_one_cosines():
+    # an orthonormal pair with ||C||_F > 1 runs the guard's SVD and passes
+    frame = orthonormalize(np.random.default_rng(31).standard_normal((5, 5)))
+    t = np.array([0.1, 0.2])
+    v = frame[:, :2] * np.cos(t) + frame[:, 2:4] * np.sin(t)
+    assert pair_distances(CHORDAL, frame[:, :2], v) == pytest.approx(
+        np.sqrt((np.sin(t) ** 2).sum()), rel=1e-12
+    )
+    # lines at |a^T b| = 1 - 1e-12 take no SVD and do not raise
+    c = 1.0 - 1e-12
+    s = np.sqrt((1.0 - c) * (1.0 + c))
+    axes = np.eye(3)[:, :, None]
+    near = np.stack([axes[0] * c + axes[1] * s, axes[1]])
+    np.testing.assert_allclose(pair_distances(CHORDAL, axes[0], near), [s, 1.0], rtol=1e-12)
 
 
 def test_geodesic_examples():

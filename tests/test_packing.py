@@ -7,8 +7,8 @@ import pytest
 
 from grasspack.constructions import lift_lines_to_subspaces, simplex_lines
 from grasspack.errors import InvalidProblemError
-from grasspack.grassmann import projection_matrix
-from grasspack.metrics import evaluate, get_metric
+from grasspack.grassmann import projection_matrix, spectra
+from grasspack.metrics import CHORDAL, evaluate, from_spectrum, get_metric
 from grasspack.packing import PackingProblem, PackingResult, perturb, solve
 from grasspack.verify import pairwise_distances
 
@@ -90,6 +90,16 @@ def test_from_dict_requires_json_types(field, value):
         PackingProblem.from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("m", 3.5), ("k", True), ("restarts", "2")], ids=["m-float", "k-bool", "restarts-str"]
+)
+def test_python_problems_require_json_types(field, value):
+    # problems built in Python skip from_dict; solve runs the same type check
+    problem = small_problem(**{"restarts": 1, "max_iters": 50, field: value})
+    with pytest.raises(InvalidProblemError, match=f"bad problem field value: {field} must be"):
+        solve(problem)
+
+
 def test_from_dict_accepts_json_types():
     doc = {"k": 1, "n": 2, "m": 3, "metric": "thetaK", "min_separation": 0}
     problem = PackingProblem.from_dict(doc)
@@ -115,6 +125,11 @@ def test_solve_orthogonal_planes_chordal():
     )
     result = solve(problem)
     assert result.objective_value == pytest.approx(math.sqrt(2.0), abs=1e-6)
+    # the annealer's residual-norm chordal values agree with the angle route
+    reps = result.family.reps
+    iu, ju = np.triu_indices(len(reps), 1)
+    recomputed = from_spectrum(CHORDAL, spectra(reps[iu], reps[ju])).min()
+    assert recomputed == pytest.approx(result.objective_value, abs=1e-12)
 
 
 @pytest.mark.parametrize(
