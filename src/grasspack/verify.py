@@ -144,6 +144,7 @@ def check_equiisoclinic(family: SubspaceFamily, tol: float = 1e-8) -> Equiisocli
     lambda is estimated jointly as the grand mean of the diagonal means, since
     the definition requires a single value for the whole family.
     """
+    _check_tolerance(tol)
     if len(family) < 2:
         raise FamilyTooSmallError(
             f"equi-isoclinicity needs at least 2 members, got {len(family)}"

@@ -4,10 +4,17 @@ These deliberately avoid the package's own routes: eigenvalues come from
 characteristic-polynomial roots, determinants from cofactor expansion,
 projectors from the normal equations, principal angles from recursive
 maximization over symmetric eigenproblems (not the package's SVDs), and the
-chordal distance from its trace form.
+chordal distance from its trace form.  `anneal_reference` is the annealer
+that scores one move per restart at a time, the loop `packing._anneal`
+must reproduce bit for bit.
 """
 
 import numpy as np
+
+from grasspack.errors import RankDeficientError
+from grasspack.linalg import orthonormalize_stack
+from grasspack.metrics import pair_distances
+from grasspack.packing import MIN_SEPARATION, MOVE_BLOCK, STEP, TEMPERATURE, _schedule
 
 
 def charpoly_coefficients(a: np.ndarray) -> np.ndarray:
@@ -96,3 +103,84 @@ def chordal_trace_form(u, v) -> float:
     """
     g = u.rep.T @ v.rep
     return float(np.sqrt(max(float(u.k) - float(np.sum(g * g)), 0.0)))
+
+
+def anneal_reference(problem, metric):
+    """`packing._anneal` one iteration at a time: same draws, same arithmetic.
+
+    Returns per-restart best values, best reps, best iterations, histories
+    and the (3, R) counts of accepted moves, moves rejected for rank and
+    moves rejected for separation.
+    """
+    k, n, m = problem.k, problem.n, problem.m
+    iters, restarts = problem.max_iters, problem.restarts
+    maximize = problem.objective == "maximin"
+    separation = max(problem.min_separation, MIN_SEPARATION)
+    rngs = [np.random.default_rng([problem.seed % (2**63), r]) for r in range(restarts)]
+
+    reps, independent = orthonormalize_stack(
+        np.stack([rng.standard_normal((m, n, k)) for rng in rngs])
+    )
+    if not independent.all():
+        raise RankDeficientError("initial members are numerically dependent")
+
+    iu, ju = np.triu_indices(m, 1)
+    pos = np.array([np.flatnonzero((iu == r) | (ju == r)) for r in range(m)])
+    partner = np.where(iu[pos] == np.arange(m)[:, None], ju[pos], iu[pos])
+
+    def score(values, beta):
+        if maximize:
+            lo = values.min(axis=-1)
+            soft = lo - np.log(np.exp((lo[..., None] - values) * beta).sum(axis=-1)) / beta
+            return soft, lo
+        var = values.var(axis=-1)
+        return -var, var
+
+    vals = np.empty((2, restarts, len(iu)))
+    vals[0] = pair_distances(metric, reps[:, iu], reps[:, ju])
+    best_value = score(vals[0], 1.0)[1]
+    best_reps = reps.copy()
+    best_iteration = np.zeros(restarts, dtype=int)
+    history = [[(0, float(v))] for v in best_value]
+    counts = np.zeros((3, restarts), dtype=int)
+    flat_reps = reps.reshape(restarts * m, n, k)
+    flat_moved = vals[1].reshape(-1)
+    rows = np.arange(restarts)
+
+    for start in range(0, iters, MOVE_BLOCK):
+        size = min(MOVE_BLOCK, iters - start)
+        draws = [(rng.integers(m, size=size), rng.standard_normal((size, n, k)), rng.random(size))
+                 for rng in rngs]
+        moved = np.stack([d[0] for d in draws], axis=1)
+        uniform = np.stack([d[2] for d in draws], axis=1)
+        i = np.arange(start, start + size)
+        betas = 1.0 / _schedule(*TEMPERATURE, iters, i)
+        steps = _schedule(*STEP, iters, i)
+        moves = np.stack([d[1] for d in draws], axis=1) * steps[:, None, None, None]
+        members = moved + rows * m
+        partners = partner[moved] + rows[:, None] * m
+        pairs = pos[moved] + rows[:, None] * len(iu)
+        for it, member, partner_row, pair, move, u, beta in zip(
+            i + 1, members, partners, pairs, moves, uniform, betas
+        ):
+            current = flat_reps[member]
+            cand, rank_ok = orthonormalize_stack(current + move)
+            new_row = pair_distances(metric, cand[:, None], flat_reps[partner_row])
+            separated = new_row.min(axis=-1) >= separation
+            ok = rank_ok & separated
+            vals[1] = vals[0]
+            flat_moved[pair] = new_row
+            soft, value = score(vals, beta)
+            accept = ok & (u < np.exp(np.minimum(soft[1] - soft[0], 0.0) * beta))
+            counts += [accept, ~rank_ok, rank_ok & ~separated]
+            if not accept.any():
+                continue
+            np.copyto(vals[0], vals[1], where=accept[:, None])
+            flat_reps[member] = np.where(accept[:, None, None], cand, current)
+            improved = accept & (value[1] > best_value if maximize else value[1] < best_value)
+            for r in np.flatnonzero(improved):
+                best_value[r] = value[1, r]
+                best_iteration[r] = it
+                best_reps[r] = reps[r]
+                history[r].append((int(it), float(value[1, r])))
+    return best_value, best_reps, best_iteration, history, counts

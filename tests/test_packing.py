@@ -1,16 +1,21 @@
 """Annealing optimizer: determinism, feasibility, known small optima."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from grasspack import packing
 from grasspack.constructions import lift_lines_to_subspaces, simplex_lines
 from grasspack.errors import InvalidProblemError
+from grasspack.family_io import family_to_doc
 from grasspack.grassmann import projection_matrix, spectra
-from grasspack.metrics import CHORDAL, evaluate, from_spectrum, get_metric
-from grasspack.packing import PackingProblem, PackingResult, perturb, solve
+from grasspack.metrics import CHORDAL, METRICS, evaluate, from_spectrum, get_metric
+from grasspack.packing import OBJECTIVES, PackingProblem, PackingResult, perturb, solve
 from grasspack.verify import pairwise_distances
+
+from _oracles import anneal_reference
 
 
 def small_problem(**overrides):
@@ -143,21 +148,98 @@ def test_solve_orthogonal_planes_chordal():
 )
 def test_restart_results_do_not_depend_on_restart_count(overrides):
     # restart r draws only from its own (seed, r) stream, so running it
-    # beside 1 or 4 others must not change a bit of its result
+    # alone or beside 1 or 4 others must not change a bit of its result
+    one = solve(small_problem(restarts=1, max_iters=1200, **overrides))
     two = solve(small_problem(restarts=2, max_iters=1200, **overrides))
     five = solve(small_problem(restarts=5, max_iters=1200, **overrides))
     assert len(five.restart_values) == len(five.restart_iterations) == 5
     assert two.restart_values == five.restart_values[:2]
     assert two.restart_iterations == five.restart_iterations[:2]
     assert two.objective_value in two.restart_values
+    # the windows a pass scores depend on every restart's accepts; the
+    # acceptance counts must not
+    for fewer in (one, two):
+        r = len(fewer.restart_values)
+        assert fewer.restart_values == five.restart_values[:r]
+        assert fewer.restart_accepted == five.restart_accepted[:r]
+        assert fewer.restart_rejected_rank == five.restart_rejected_rank[:r]
+        assert fewer.restart_rejected_separation == five.restart_rejected_separation[:r]
 
 
-def test_unsatisfiable_separation_rejects_every_move():
-    # three lines in R^2 are at most pi/3 apart, so no move clears 1.5
-    result = solve(small_problem(min_separation=1.5, restarts=2, max_iters=500))
-    assert result.best_iteration == 0
-    assert len(result.history) == 1
-    assert result.restart_iterations == (0, 0)
+def _outcome(result):
+    """Everything a solve reports, compared bit for bit (json keeps -0.0 apart)."""
+    return (
+        json.dumps(family_to_doc(result.family)),
+        result.objective_value,
+        result.best_iteration,
+        result.history,
+        result.restart_values,
+        result.restart_iterations,
+        result.restart_accepted,
+        result.restart_rejected_rank,
+        result.restart_rejected_separation,
+    )
+
+
+def _solve_with_reference(problem, monkeypatch):
+    """solve(problem) twice: with the windowed annealer and with the one-move reference."""
+    result = solve(problem)
+    monkeypatch.setattr(packing, "_anneal", anneal_reference)
+    return result, solve(problem)
+
+
+def _assert_counts_fit(result, max_iters):
+    for counts in zip(
+        result.restart_accepted, result.restart_rejected_rank, result.restart_rejected_separation
+    ):
+        assert sum(counts) <= max_iters
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("metric", [metric.cli_name for metric in METRICS.values()])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_solve_matches_one_move_reference(k, metric, objective, monkeypatch):
+    # a pass scores a window of moves from one state; the result must be the
+    # one-move-at-a-time annealer's, bit for bit, counts included
+    variance = objective == "equiangular_variance"
+    problem = PackingProblem(
+        k=k, n=2 * k + 1, m=6, metric=metric, objective=objective, seed=20 + k,
+        restarts=2, max_iters=200, min_separation=0.2 if variance else packing.MIN_SEPARATION,
+    )
+    result, reference = _solve_with_reference(problem, monkeypatch)
+    assert _outcome(result) == _outcome(reference)
+    _assert_counts_fit(result, problem.max_iters)
+
+
+@pytest.mark.parametrize("restarts", [1, 5])
+@pytest.mark.parametrize("max_iters", [1, 255, 256, 257, 700])
+def test_solve_matches_reference_across_move_blocks(max_iters, restarts, monkeypatch):
+    # windows never cross a MOVE_BLOCK boundary, so budgets around it are the edge
+    problem = small_problem(n=3, m=5, seed=4, restarts=restarts, max_iters=max_iters)
+    result, reference = _solve_with_reference(problem, monkeypatch)
+    assert _outcome(result) == _outcome(reference)
+    _assert_counts_fit(result, max_iters)
+    assert sum(result.restart_accepted) > 0
+
+
+def test_unsatisfiable_separation_rejects_every_move(monkeypatch):
+    # three lines in R^2 are at most pi/3 apart, so no move clears 1.5, and
+    # chordal distances of planes stay <= sqrt 2; every window then runs to
+    # its end without an accept
+    for overrides in (
+        dict(min_separation=1.5),
+        dict(k=2, n=4, metric="chordal", objective="equiangular_variance", min_separation=2.0),
+    ):
+        problem = small_problem(restarts=2, max_iters=500, **overrides)
+        result = solve(problem)
+        assert result.best_iteration == 0
+        assert len(result.history) == 1
+        assert result.restart_iterations == (0, 0)
+        assert result.restart_accepted == result.restart_rejected_rank == (0, 0)
+        assert result.restart_rejected_separation == (500, 500)
+        with monkeypatch.context() as patch:
+            patch.setattr(packing, "_anneal", anneal_reference)
+            assert _outcome(solve(problem)) == _outcome(result)
 
 
 def test_solve_reproducible():

@@ -105,6 +105,13 @@ def test_check_equiisoclinic_family_too_small(simplex_family):
         check_equiisoclinic(lonely)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_check_equiisoclinic_rejects_bad_tolerance(lift9, tol):
+    # same contract as check_equiangular and polynomial_certificate
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        check_equiisoclinic(lift9, tol)
+
+
 def test_certificate_lift9(lift9):
     cert = polynomial_certificate(lift9, np.pi / 3)
     assert cert.verdict
