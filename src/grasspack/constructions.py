@@ -16,12 +16,21 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AngleZeroError, DimensionMismatchError, NotEquiangularError
-from .grassmann import Subspace, complement, sign_fix_columns
+from .grassmann import Subspace, complement, pair_chunks, sign_fix_columns
 from .linalg import EPS_ORTH
+
+
+# ||U_i^T U_j||_F^2 >= k (1 - _COINCIDENT_SLACK) marks a pair of family
+# members as possibly coincident (see SubspaceFamily.__post_init__).
+_COINCIDENT_SLACK = 1e-6
 
 
 def _sign_fix_rows(vectors: np.ndarray) -> np.ndarray:
     return sign_fix_columns(vectors.T).T
+
+
+def _projectors(reps: np.ndarray) -> np.ndarray:
+    return reps @ np.swapaxes(reps, -1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,6 +39,10 @@ class LineSet:
 
     vectors     (N, n) array, one unit vector per line
     common_cos  the shared |<u, v>| over distinct pairs, in [0, 1)
+
+    `from_vectors` measures common_cos and checks the set is equiangular
+    within the caller's tolerance; the constructor itself checks shapes,
+    norms and the range of common_cos, and trusts the pairing of the two.
     """
 
     vectors: np.ndarray
@@ -46,13 +59,6 @@ class LineSet:
             raise ValueError("line vectors must have unit norm")
         if not 0.0 <= self.common_cos < 1.0:
             raise ValueError(f"common_cos must lie in [0, 1), got {self.common_cos}")
-        if vectors.shape[0] >= 2:
-            gram = np.abs(vectors @ vectors.T)
-            dev = float(np.max(np.abs(gram[np.triu_indices(len(vectors), 1)] - self.common_cos)))
-            if dev > 1e-8:
-                raise NotEquiangularError(
-                    f"pairwise |<u,v>| deviates from {self.common_cos} by {dev:.3e}"
-                )
         vectors.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
 
@@ -65,8 +71,7 @@ class LineSet:
         count = vectors.shape[0]
         if count < 2:
             return cls(vectors, 0.0)
-        gram = np.abs(vectors @ vectors.T)
-        pairs = gram[np.triu_indices(count, 1)]
+        pairs = np.abs(vectors @ vectors.T)[np.triu_indices(count, 1)]
         common = float(np.mean(pairs))
         dev = float(np.max(np.abs(pairs - common)))
         if dev > tol:
@@ -111,15 +116,28 @@ class SubspaceFamily:
                     f"family member in Gr({member.k},{member.n}) does not match "
                     f"Gr({self.k},{self.n})"
                 )
-        if len(members) >= 2:
-            # Members coincide when their projectors agree entrywise; one row
-            # of pairs (member i against every later member) at a time.
-            projectors = self.reps @ np.swapaxes(self.reps, -1, -2)
-            for i in range(len(members) - 1):
-                gaps = np.abs(projectors[i] - projectors[i + 1 :]).max(axis=(-2, -1))
-                hits = np.flatnonzero(gaps <= EPS_ORTH)
-                if hits.size:
-                    raise ValueError(f"family members {i} and {i + 1 + hits[0]} coincide")
+        # Members i and j coincide when their projectors agree entrywise
+        # within EPS_ORTH.  With C = U_i^T U_j and G = U^T U,
+        # ||P_i - P_j||_F^2 = ||G_i||_F^2 + ||G_j||_F^2 - 2 ||C||_F^2, where
+        # orthonormality within EPS_ORTH gives ||G||_F^2 >= k - 2k EPS_ORTH and
+        # coincidence gives ||P_i - P_j||_F^2 <= n^2 EPS_ORTH^2.  So every
+        # coincident pair has ||C||_F^2 >= k - 2k EPS_ORTH - n^2 EPS_ORTH^2 / 2.
+        # The filter's margin k * _COINCIDENT_SLACK lies far above that
+        # (and above the roundoff of ||C||_F^2) for every k and any n below
+        # 10^6, so it never drops a coincident pair; only the pairs it keeps
+        # go to the entrywise projector test.
+        reps = self.reps
+        floor = self.k * (1.0 - _COINCIDENT_SLACK)
+        for i, j, a, b in pair_chunks(reps):
+            cross = np.swapaxes(a, -1, -2) @ b
+            near = (cross * cross).sum(axis=(-2, -1)) >= floor
+            if not near.any():
+                continue
+            i, j = i[near], j[near]
+            gaps = np.abs(_projectors(reps[i]) - _projectors(reps[j])).max(axis=(-2, -1))
+            hits = np.flatnonzero(gaps <= EPS_ORTH)
+            if hits.size:
+                raise ValueError(f"family members {i[hits[0]]} and {j[hits[0]]} coincide")
 
     @cached_property
     def reps(self) -> np.ndarray:
@@ -183,7 +201,7 @@ def orthonormal_lines(n: int) -> LineSet:
     """The n coordinate axes: the degenerate common angle pi/2 catalog entry."""
     if n < 1:
         raise ValueError(f"orthonormal_lines needs n >= 1, got {n}")
-    return LineSet(np.eye(n), 0.0)
+    return LineSet.from_vectors(np.eye(n))
 
 
 def lift_lines_to_subspaces(lines: LineSet, k: int) -> SubspaceFamily:

@@ -38,7 +38,7 @@ class FamilyTooSmallError(GrasspackError):
 
 
 class AlphaZeroError(GrasspackError):
-    """The certificate is only defined for common angle alpha > 0."""
+    """The certificate is only defined for a common angle alpha in (eps_angle, pi/2]."""
 
 
 class NotOddPrimeError(GrasspackError):

@@ -7,7 +7,9 @@ cross-Grams U^T V, the sines those of the residuals V - U U^T V, and each
 angle is read from whichever of the two resolves it to full accuracy
 (Bjorck & Golub 1973; Knyazev & Argentati 2002).  `cross_residual` forms
 both stacks; the chordal distance reads the residuals' Frobenius norms from
-it without taking angles.
+it without taking angles.  Family-wide checks visit the m(m-1)/2 member
+pairs through `pair_chunks`, a bounded chunk at a time, so no scan holds
+more than PAIR_CHUNK pairs.
 """
 
 from __future__ import annotations
@@ -17,9 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClampError, DimensionMismatchError, FullDimensionError
-from .linalg import CLAMP_SLACK, EPS_ANGLE, EPS_ORTH, as_matrix, orthonormalize
+from .linalg import (
+    CLAMP_SLACK,
+    EPS_ANGLE,
+    EPS_ORTH,
+    as_matrix,
+    check_eps_angle,
+    check_tolerance,
+    orthonormalize,
+)
 
 _COS_PI_4 = np.sqrt(0.5)
+# Pairs per chunk of `pair_chunks`: enough to amortize numpy's per-call cost,
+# few enough that a chunk's (PAIR_CHUNK, n, k) stacks and temporaries stay small.
+PAIR_CHUNK = 512
 
 
 def sign_fix_columns(q: np.ndarray) -> np.ndarray:
@@ -81,6 +94,34 @@ def require_same_grassmannian(u: Subspace, v: Subspace) -> None:
         )
 
 
+def pair_chunks(reps: np.ndarray):
+    """Every pair i < j of an (m, n, k) stack, in lexicographic order, in chunks.
+
+    Yields (i, j, a, b): the index arrays of at most PAIR_CHUNK pairs and
+    their representatives, which broadcast as a = reps[i], b = reps[j].  A
+    row (member i against every later member) of more than PAIR_CHUNK / 2
+    pairs comes alone, in slices if it must, so a is reps[i] itself and b a
+    view of reps; nothing is copied.  Shorter rows are grouped whole into
+    chunks and gathered.
+    """
+    m = len(reps)
+    long_rows = max(m - 1 - PAIR_CHUNK // 2, 0)  # rows of more than PAIR_CHUNK / 2 pairs
+    for row in range(long_rows):
+        for lo in range(row + 1, m, PAIR_CHUNK):
+            hi = min(lo + PAIR_CHUNK, m)
+            yield np.full(hi - lo, row), np.arange(lo, hi), reps[row], reps[lo:hi]
+    row = long_rows
+    while row < m - 1:
+        end, size = row, 0
+        while end < m - 1 and size + m - 1 - end <= PAIR_CHUNK:
+            size += m - 1 - end
+            end += 1
+        i = np.concatenate([np.full(m - 1 - r, r) for r in range(row, end)])
+        j = np.concatenate([np.arange(r + 1, m) for r in range(row, end)])
+        yield i, j, reps[i], reps[j]
+        row = end
+
+
 def cross_residual(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Cross-Grams A^T B and residuals B - A (A^T B) of two representative stacks.
 
@@ -90,7 +131,8 @@ def cross_residual(a, b) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     cross = np.swapaxes(a, -1, -2) @ b
-    return cross, b - a @ cross
+    residual = a @ cross  # full broadcast shape: it holds the result, one array fewer
+    return cross, np.subtract(b, residual, out=residual)
 
 
 def cosines(cross) -> np.ndarray:
@@ -165,6 +207,8 @@ def complement_duality_check(
     Multisets are compared as sorted lists after filtering angles <= eps_angle;
     a count mismatch is an immediate False.
     """
+    check_tolerance(tol)
+    check_eps_angle(eps_angle)
     require_same_grassmannian(u, v)
     direct = nonzero_angles(principal_angles(u, v), eps_angle)
     dual = nonzero_angles(principal_angles(complement(u), complement(v)), eps_angle)

@@ -7,12 +7,14 @@ through numpy; the wrappers here add the package's conventions: validated
 
 One threshold is a user choice: `eps_angle`, the angle in radians below
 which a principal angle counts as zero (the CLI's --tol).  Functions that
-threshold angles take it as a parameter defaulting to EPS_ANGLE and the CLI
-checks it with `check_eps_angle`.  The orthonormality bound EPS_ORTH and
-CLAMP_SLACK are fixed.
+threshold angles take it as a parameter defaulting to EPS_ANGLE and check it
+with `check_eps_angle`; verdict thresholds go through `check_tolerance`.  The
+orthonormality bound EPS_ORTH and CLAMP_SLACK are fixed.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,6 +34,13 @@ def check_eps_angle(eps_angle: float) -> float:
     if not 0.0 < eps_angle < 1e-2:
         raise ValueError(f"eps_angle must lie in (0, 1e-2), got {eps_angle!r}")
     return eps_angle
+
+
+def check_tolerance(tol: float) -> float:
+    """Return the verdict threshold `tol` if it is finite and >= 0; ValueError otherwise."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def as_matrix(a) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import UnknownMetricError
 from .grassmann import Subspace, cosines, cross_residual, require_same_grassmannian, spectra
-from .linalg import CLAMP_SLACK, EPS_ANGLE, clamp_unit_interval
+from .linalg import CLAMP_SLACK, EPS_ANGLE, check_eps_angle, clamp_unit_interval
 
 
 @dataclass(frozen=True)
@@ -141,11 +141,12 @@ def pair_distances(metric, a, b, eps_angle: float = EPS_ANGLE):
         near = (cross * cross).sum(axis=(-2, -1)) > 1.0 + CLAMP_SLACK
         if near.any():
             cosines(cross[near])
-        return np.sqrt((residual * residual).sum(axis=(-2, -1)))
+        return np.sqrt(np.square(residual, out=residual).sum(axis=(-2, -1)))
     return from_spectrum(metric, spectra(a, b), eps_angle)
 
 
 def evaluate(metric, u: Subspace, v: Subspace, eps_angle: float = EPS_ANGLE) -> float:
     """Distance between two subspaces under `metric` (Metric, id, or CLI name)."""
+    check_eps_angle(eps_angle)
     require_same_grassmannian(u, v)
     return pair_distances(metric, u.rep, v.rep, eps_angle)

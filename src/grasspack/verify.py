@@ -10,7 +10,8 @@ import numpy as np
 
 from .constructions import SubspaceFamily
 from .errors import AlphaZeroError, FamilyTooSmallError, NotOddPrimeError
-from .linalg import EPS_ANGLE
+from .grassmann import pair_chunks
+from .linalg import EPS_ANGLE, check_eps_angle, check_tolerance
 from .metrics import get_metric, pair_distances
 
 
@@ -96,41 +97,35 @@ class Certificate:
         return doc
 
 
-def _check_tolerance(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
-
-
-def pairwise_distances(family: SubspaceFamily, metric, eps_angle: float = EPS_ANGLE) -> np.ndarray:
-    """Condensed vector of pairwise distances in (i < j) lexicographic order."""
-    metric = get_metric(metric)
-    reps = family.reps
-    rows = [
-        pair_distances(metric, reps[i], reps[i + 1 :], eps_angle)
-        for i in range(len(reps) - 1)
-    ]
-    return np.concatenate([np.empty(0), *rows])
-
-
 def check_equiangular(
     family: SubspaceFamily,
     metric,
     tol: float = 1e-8,
     eps_angle: float = EPS_ANGLE,
 ) -> EquiangularReport:
-    """Scan all pairs; the common value is the mean, the verdict its max deviation."""
-    _check_tolerance(tol)
+    """Scan all pairs; the common value is the mean, the verdict its max deviation.
+
+    The scan keeps only the running sum, minimum and maximum:
+    max |v - mean| = max(max - mean, mean - min), exactly in floating point.
+    """
+    check_tolerance(tol)
+    check_eps_angle(eps_angle)
     metric = get_metric(metric)
-    if len(family) < 2:
-        raise FamilyTooSmallError(
-            f"equiangularity needs at least 2 members, got {len(family)}"
-        )
-    values = pairwise_distances(family, metric, eps_angle)
-    common = float(np.mean(values))
-    deviation = float(np.max(np.abs(values - common)))
+    m = len(family)
+    if m < 2:
+        raise FamilyTooSmallError(f"equiangularity needs at least 2 members, got {m}")
+    total, lo, hi = 0.0, np.inf, -np.inf
+    for _, _, a, b in pair_chunks(family.reps):
+        values = pair_distances(metric, a, b, eps_angle)
+        total += float(values.sum())
+        lo = np.minimum(lo, values.min())
+        hi = np.maximum(hi, values.max())
+    pair_count = m * (m - 1) // 2
+    common = total / pair_count
+    deviation = float(max(hi - common, common - lo))
     return EquiangularReport(
         metric_id=metric.id,
-        pair_count=values.size,
+        pair_count=pair_count,
         common_value=common,
         max_deviation=deviation,
         tolerance=tol,
@@ -142,26 +137,29 @@ def check_equiisoclinic(family: SubspaceFamily, tol: float = 1e-8) -> Equiisocli
     """Check V^T U U^T V = lambda * I over all pairs, with lambda shared family-wide.
 
     lambda is estimated jointly as the grand mean of the diagonal means, since
-    the definition requires a single value for the whole family.
+    the definition requires a single value for the whole family.  One scan
+    keeps the trace sum, the extreme diagonal entries and the largest
+    off-diagonal magnitude, which bound max |V^T U U^T V - lambda I| exactly.
     """
-    _check_tolerance(tol)
-    if len(family) < 2:
-        raise FamilyTooSmallError(
-            f"equi-isoclinicity needs at least 2 members, got {len(family)}"
-        )
-    reps = family.reps
+    check_tolerance(tol)
+    m = len(family)
+    if m < 2:
+        raise FamilyTooSmallError(f"equi-isoclinicity needs at least 2 members, got {m}")
     k = family.k
-    m = len(reps)
-
-    def rows():
-        # V^T U U^T V for U = member i and V each later member, one row at a time
-        for i in range(m - 1):
-            cross = reps[i].T @ reps[i + 1 :]
-            yield np.swapaxes(cross, -1, -2) @ cross
-
+    off = ~np.eye(k, dtype=bool)
+    trace_sum, diag_lo, diag_hi, off_hi = 0.0, np.inf, -np.inf, 0.0
+    for _, _, a, b in pair_chunks(family.reps):
+        # V^T U U^T V for U = member i and V = member j
+        cross = np.swapaxes(a, -1, -2) @ b
+        gram = np.swapaxes(cross, -1, -2) @ cross
+        diag = np.diagonal(gram, axis1=-2, axis2=-1)
+        trace_sum += float(diag.sum())
+        diag_lo = np.minimum(diag_lo, diag.min())
+        diag_hi = np.maximum(diag_hi, diag.max())
+        off_hi = np.maximum(off_hi, np.abs(gram[:, off]).max(initial=0.0))
     pair_count = m * (m - 1) // 2
-    lam = sum(float(np.trace(p, axis1=-2, axis2=-1).sum()) for p in rows()) / (k * pair_count)
-    deviation = max(float(np.max(np.abs(p - lam * np.eye(k)))) for p in rows())
+    lam = trace_sum / (k * pair_count)
+    deviation = float(max(diag_hi - lam, lam - diag_lo, off_hi))
     return EquiisoclinicReport(
         lam=lam,
         pair_count=pair_count,
@@ -180,15 +178,16 @@ def polynomial_certificate(
     """Build the determinant-polynomial certificate for a claimed common angle.
 
     The caller asserts the family is pairwise equiangular under some angle
-    distance with common angle `alpha` > 0; the certificate evaluates every
-    polynomial at every projector and checks the diagonal/off-diagonal
-    structure plus m <= C(C(n+1,2)+k-1, k).
+    distance with common angle `alpha` in (eps_angle, pi/2]; the certificate
+    evaluates every polynomial at every projector and checks the
+    diagonal/off-diagonal structure plus m <= C(C(n+1,2)+k-1, k).
     """
-    _check_tolerance(tol)
-    if not alpha > eps_angle:  # NaN fails this too
+    check_tolerance(tol)
+    check_eps_angle(eps_angle)
+    if not eps_angle < alpha <= math.pi / 2:  # NaN fails this too
         raise AlphaZeroError(
-            f"certificate requires alpha > 0 (got {alpha!r}); "
-            "the bound does not hold at alpha = 0"
+            f"certificate requires alpha in (eps_angle, pi/2] = "
+            f"({eps_angle!r}, {math.pi / 2!r}], got {alpha!r}"
         )
     if len(family) < 1:
         raise FamilyTooSmallError("certificate needs at least one member")

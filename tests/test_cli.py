@@ -252,6 +252,9 @@ def test_certify_alpha_zero_exit_2(lift_file):
         ["certify", "{lift}", "--alpha", "nan", "--format", "json"],
         ["certify", "{lift}", "--alpha", "1.0471975511965976", "--tolerance", "nan"],
         ["certify", "{lift}", "--alpha", "1.0471975511965976", "--tolerance", "-1"],
+        ["certify", "{lift}", "--alpha", "2.0943951023931953"],
+        ["certify", "{lift}", "--alpha", "inf"],
+        ["certify", "{lift}", "--alpha=-inf"],
     ],
 )
 def test_bad_verdict_threshold_exit_2(lift_file, args, capsys):

@@ -85,6 +85,16 @@ def test_lineset_rejects_non_equiangular():
         LineSet.from_vectors(vectors)
 
 
+def test_lineset_tolerance_is_the_callers():
+    # |cos| of 0.5 +/- 1e-7: a spread of about 1.7e-7, inside 1e-6 but not 1e-8
+    angles = np.array([0.0, np.pi / 3 + 2e-7, 2 * np.pi / 3])
+    vectors = np.column_stack([np.cos(angles), np.sin(angles)])
+    lines = LineSet.from_vectors(vectors, tol=1e-6)
+    assert lines.common_cos == pytest.approx(0.5, abs=1e-6)
+    with pytest.raises(NotEquiangularError, match="spread 1.7"):
+        LineSet.from_vectors(vectors, tol=1e-8)
+
+
 def test_lift_rejects_vanishing_angle():
     t = 1e-5  # cos(t) is within the lift's 1e-9 floor of a zero angle
     vectors = np.array([[1.0, 0.0], [np.cos(t), np.sin(t)]])
@@ -278,6 +288,13 @@ def test_family_rejects_duplicates():
     many = tuple(random_subspace(6, 2, rng) for _ in range(256))
     with pytest.raises(ValueError, match="members 0 and 256 coincide"):
         SubspaceFamily(2, 6, many + many[:1])
+    # three copies, all past the first pair chunks; (2, 699) comes first in (i, j) order
+    members = [random_subspace(6, 2, rng) for _ in range(700)]
+    members[650] = members[5]
+    members[699] = members[2]
+    members[698] = members[401]
+    with pytest.raises(ValueError, match="members 2 and 699 coincide"):
+        SubspaceFamily(2, 6, tuple(members))
 
 
 def test_family_reps_are_read_only():

@@ -5,9 +5,11 @@ import pytest
 
 from grasspack.errors import ClampError, DimensionMismatchError, FullDimensionError
 from grasspack.grassmann import (
+    PAIR_CHUNK,
     Subspace,
     complement,
     complement_duality_check,
+    pair_chunks,
     principal_angles,
     projection_matrix,
     random_subspace,
@@ -233,6 +235,37 @@ def test_duality_check_random_pairs():
         u = random_subspace(5, 2, rng)
         v = random_subspace(5, 2, rng)
         assert complement_duality_check(u, v)
+
+
+@pytest.mark.parametrize("bad", [{"tol": np.nan}, {"tol": -1.0}])
+def test_duality_check_rejects_bad_tolerance(bad):
+    u = span(e(0, 3))
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        complement_duality_check(u, u, **bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 10.0])
+def test_duality_check_rejects_bad_eps_angle(bad):
+    u = span(e(0, 3))
+    with pytest.raises(ValueError, match="eps_angle must lie in"):
+        complement_duality_check(u, u, eps_angle=bad)
+
+
+# 0-2 members, one chunk, grouped short rows, and rows long enough to be sliced
+@pytest.mark.parametrize("m", [0, 1, 2, 33, PAIR_CHUNK // 2 + 3, PAIR_CHUNK + 90])
+def test_pair_chunks_cover_every_pair_once_in_order(m):
+    reps = np.random.default_rng(m).standard_normal((m, 3, 2))
+    chunks = list(pair_chunks(reps))
+    iu, ju = np.triu_indices(m, 1)
+    if m < 2:
+        assert chunks == []
+        return
+    np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks]), iu)
+    np.testing.assert_array_equal(np.concatenate([c[1] for c in chunks]), ju)
+    for i, j, a, b in chunks:
+        assert 0 < len(i) <= PAIR_CHUNK
+        np.testing.assert_array_equal(np.broadcast_to(a, (len(i), 3, 2)), reps[i])
+        np.testing.assert_array_equal(b, reps[j])
 
 
 def test_representative_invariance():

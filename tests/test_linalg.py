@@ -11,6 +11,7 @@ from grasspack.linalg import (
     EPS_ORTH,
     ClampError,
     check_eps_angle,
+    check_tolerance,
     clamp_unit_interval,
     determinant,
     orthonormalize,
@@ -35,6 +36,14 @@ def test_tolerance_policy_defaults():
 def test_tolerance_policy_rejects_out_of_range(field, bad):
     with pytest.raises(ValueError, match=rf"{field} must lie in \(0, 1e-2\), got {bad!r}"):
         check_eps_angle(bad)
+
+
+def test_check_tolerance():
+    assert check_tolerance(0.0) == 0.0
+    assert check_tolerance(1e-8) == 1e-8
+    for bad in (math.nan, -1.0, math.inf):
+        with pytest.raises(ValueError, match=rf"tolerance must be finite and >= 0, got {bad!r}"):
+            check_tolerance(bad)
 
 
 def test_clamp_within_slack_is_silent():

@@ -221,6 +221,13 @@ def test_evaluate_dispatch_examples():
     assert evaluate(THETA_F, family[0], family[4]) == pytest.approx(np.pi / 3, abs=1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, 10.0])
+def test_evaluate_rejects_bad_eps_angle(bad):
+    family = lift_lines_to_subspaces(simplex_lines(2), 2)
+    with pytest.raises(ValueError, match="eps_angle must lie in"):
+        evaluate(THETA_F, family[0], family[4], bad)
+
+
 def test_sandwich_property():
     rng = np.random.default_rng(97)
     for _ in range(25):

@@ -11,9 +11,8 @@ from grasspack.constructions import lift_lines_to_subspaces, simplex_lines
 from grasspack.errors import InvalidProblemError
 from grasspack.family_io import family_to_doc
 from grasspack.grassmann import projection_matrix, spectra
-from grasspack.metrics import CHORDAL, METRICS, evaluate, from_spectrum, get_metric
+from grasspack.metrics import CHORDAL, METRICS, evaluate, from_spectrum, get_metric, pair_distances
 from grasspack.packing import OBJECTIVES, PackingProblem, PackingResult, perturb, solve
-from grasspack.verify import pairwise_distances
 
 from _oracles import anneal_reference
 
@@ -120,7 +119,9 @@ def test_solve_three_lines_in_plane():
     assert result.objective_value >= np.pi / 3 - 1e-3
     # recomputation from the returned family matches the reported value
     metric = get_metric("thetaK")
-    recomputed = float(np.min(pairwise_distances(result.family, metric)))
+    reps = result.family.reps
+    iu, ju = np.triu_indices(len(reps), 1)
+    recomputed = float(np.min(pair_distances(metric, reps[iu], reps[ju])))
     assert recomputed == pytest.approx(result.objective_value, abs=1e-9)
 
 

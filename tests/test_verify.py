@@ -1,6 +1,7 @@
 """Equiangularity checks, the certificate, and every bound formula."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from grasspack.constructions import (
     complement_family,
     icosahedral_lines,
     lift_lines_to_subspaces,
+    orthonormal_lines,
     simplex_lines,
 )
 from grasspack.errors import (
@@ -17,8 +19,8 @@ from grasspack.errors import (
     FamilyTooSmallError,
     NotOddPrimeError,
 )
-from grasspack.grassmann import random_subspace, subspace_from_spanning
-from grasspack.metrics import CHORDAL, FUBINI_STUDY, THETA_1, THETA_F, THETA_K
+from grasspack.grassmann import PAIR_CHUNK, Subspace, random_subspace, subspace_from_spanning
+from grasspack.metrics import CHORDAL, FUBINI_STUDY, METRICS, THETA_1, THETA_F, THETA_K, pair_distances
 from grasspack.verify import (
     bound_blokhuis,
     bound_chordal,
@@ -68,6 +70,64 @@ def test_check_equiangular_family_too_small(simplex_family):
     lonely = SubspaceFamily(1, 2, (simplex_family[0],))
     with pytest.raises(FamilyTooSmallError):
         check_equiangular(lonely, THETA_K)
+
+
+@pytest.fixture(scope="module")
+def multi_chunk_family():
+    # 300 members: 44 850 pairs in about a hundred chunks, sliced rows and grouped ones
+    rng = np.random.default_rng(163)
+    family = SubspaceFamily(2, 5, tuple(random_subspace(5, 2, rng) for _ in range(300)))
+    assert math.comb(len(family), 2) > 50 * PAIR_CHUNK
+    return family
+
+
+@pytest.mark.parametrize("metric", list(METRICS))
+def test_check_equiangular_matches_direct_reduction(multi_chunk_family, metric):
+    reps = multi_chunk_family.reps
+    iu, ju = np.triu_indices(len(reps), 1)
+    values = pair_distances(metric, reps[iu], reps[ju])
+    mean = np.mean(values)
+    report = check_equiangular(multi_chunk_family, metric)
+    assert report.pair_count == values.size
+    assert abs(report.common_value - mean) <= 1e-15
+    assert abs(report.max_deviation - np.max(np.abs(values - mean))) <= 1e-15
+
+
+def test_check_equiisoclinic_matches_two_pass_formula(multi_chunk_family):
+    reps = multi_chunk_family.reps
+    k = multi_chunk_family.k
+    iu, ju = np.triu_indices(len(reps), 1)
+    cross = np.swapaxes(reps[iu], -1, -2) @ reps[ju]
+    gram = np.swapaxes(cross, -1, -2) @ cross
+    lam = np.trace(gram, axis1=-2, axis2=-1).sum() / (k * iu.size)
+    report = check_equiisoclinic(multi_chunk_family)
+    assert report.pair_count == iu.size
+    assert abs(report.lam - lam) <= 1e-15
+    assert abs(report.max_deviation - np.max(np.abs(gram - lam * np.eye(k)))) <= 1e-15
+
+
+def test_check_equiangular_streams_in_bounded_memory():
+    rng = np.random.default_rng(167)
+    vectors = rng.standard_normal((1500, 4))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    family = SubspaceFamily(1, 4, tuple(Subspace(v[:, None]) for v in vectors))
+    tracemalloc.start()
+    try:
+        report = check_equiangular(family, THETA_K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.pair_count == 1_124_250
+    # storing every pair's distance alone would take 9 MB
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("bad", [math.nan, 10.0])
+def test_checks_reject_bad_eps_angle(lift9, bad):
+    with pytest.raises(ValueError, match="eps_angle must lie in"):
+        check_equiangular(lift9, THETA_F, eps_angle=bad)
+    with pytest.raises(ValueError, match="eps_angle must lie in"):
+        polynomial_certificate(lift9, np.pi / 3, eps_angle=bad)
 
 
 def test_check_equiisoclinic_rotated_pair():
@@ -145,10 +205,10 @@ def test_certificate_simplex_lines_tight(simplex_family):
 
 
 def test_certificate_alpha_zero_rejected(lift9):
-    with pytest.raises(AlphaZeroError):
-        polynomial_certificate(lift9, 0.0)
-    with pytest.raises(AlphaZeroError):
-        polynomial_certificate(lift9, 1e-9)
+    # principal angles lie in [0, pi/2]; the bound needs alpha > eps_angle
+    for alpha in (0.0, 1e-9, -1.0, 2 * np.pi / 3, np.pi / 2 + 1e-12, math.inf, -math.inf, math.nan):
+        with pytest.raises(AlphaZeroError, match=r"alpha in \(eps_angle, pi/2\]"):
+            polynomial_certificate(lift9, alpha)
 
 
 def test_certificate_sound_on_catalog_families(simplex_family, lift9):
@@ -158,6 +218,7 @@ def test_certificate_sound_on_catalog_families(simplex_family, lift9):
         (lift9, np.pi / 3),
         (icosa, math.acos(1.0 / math.sqrt(5.0))),
         (lift_lines_to_subspaces(icosahedral_lines(), 2), math.acos(1.0 / math.sqrt(5.0))),
+        (lift_lines_to_subspaces(orthonormal_lines(4), 2), np.pi / 2),  # the top of the range
     ]
     for family, alpha in cases:
         assert check_equiangular(family, THETA_F).verdict
