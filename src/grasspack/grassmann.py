@@ -9,7 +9,7 @@ angle is read from whichever of the two resolves it to full accuracy
 both stacks; the chordal distance reads the residuals' Frobenius norms from
 it without taking angles.  Family-wide checks visit the m(m-1)/2 member
 pairs through `pair_chunks`, a bounded chunk at a time, so no scan holds
-more than PAIR_CHUNK pairs.
+more than PAIR_CHUNK_ENTRIES entries per representative stack.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ from .linalg import (
 )
 
 _COS_PI_4 = np.sqrt(0.5)
-# Pairs per chunk of `pair_chunks`: enough to amortize numpy's per-call cost,
-# few enough that a chunk's (PAIR_CHUNK, n, k) stacks and temporaries stay small.
-PAIR_CHUNK = 512
+# Entries (pairs x n x k) of each representative stack a chunk of
+# `pair_chunks` holds: no row of the paper-scale lifts is split (a 1 331-member
+# Gr(3,30) lift's longest row holds 119 700), and a chunk's temporaries stay
+# a few MB whatever the family size.
+PAIR_CHUNK_ENTRIES = 131072
 
 
 def sign_fix_columns(q: np.ndarray) -> np.ndarray:
@@ -97,29 +99,17 @@ def require_same_grassmannian(u: Subspace, v: Subspace) -> None:
 def pair_chunks(reps: np.ndarray):
     """Every pair i < j of an (m, n, k) stack, in lexicographic order, in chunks.
 
-    Yields (i, j, a, b): the index arrays of at most PAIR_CHUNK pairs and
-    their representatives, which broadcast as a = reps[i], b = reps[j].  A
-    row (member i against every later member) of more than PAIR_CHUNK / 2
-    pairs comes alone, in slices if it must, so a is reps[i] itself and b a
-    view of reps; nothing is copied.  Shorter rows are grouped whole into
-    chunks and gathered.
+    Yields (i, j, a, b): the index arrays of a run of pairs within one row
+    (member i against later members) and their representatives, a = reps[i]
+    broadcasting against the view b = reps[j].  A row longer than
+    PAIR_CHUNK_ENTRIES / (n k) pairs comes in slices.
     """
-    m = len(reps)
-    long_rows = max(m - 1 - PAIR_CHUNK // 2, 0)  # rows of more than PAIR_CHUNK / 2 pairs
-    for row in range(long_rows):
-        for lo in range(row + 1, m, PAIR_CHUNK):
-            hi = min(lo + PAIR_CHUNK, m)
-            yield np.full(hi - lo, row), np.arange(lo, hi), reps[row], reps[lo:hi]
-    row = long_rows
-    while row < m - 1:
-        end, size = row, 0
-        while end < m - 1 and size + m - 1 - end <= PAIR_CHUNK:
-            size += m - 1 - end
-            end += 1
-        i = np.concatenate([np.full(m - 1 - r, r) for r in range(row, end)])
-        j = np.concatenate([np.arange(r + 1, m) for r in range(row, end)])
-        yield i, j, reps[i], reps[j]
-        row = end
+    m, n, k = reps.shape
+    size = max(PAIR_CHUNK_ENTRIES // (n * k), 1)
+    for i in range(m - 1):
+        for lo in range(i + 1, m, size):
+            hi = min(lo + size, m)
+            yield np.full(hi - lo, i), np.arange(lo, hi), reps[i], reps[lo:hi]
 
 
 def cross_residual(a, b) -> tuple[np.ndarray, np.ndarray]:

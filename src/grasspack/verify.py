@@ -105,8 +105,9 @@ def check_equiangular(
 ) -> EquiangularReport:
     """Scan all pairs; the common value is the mean, the verdict its max deviation.
 
-    The scan keeps only the running sum, minimum and maximum:
-    max |v - mean| = max(max - mean, mean - min), exactly in floating point.
+    The scan keeps only each chunk's sum, added with `math.fsum`, and the
+    running minimum and maximum: max |v - mean| = max(max - mean, mean - min),
+    exactly in floating point.
     """
     check_tolerance(tol)
     check_eps_angle(eps_angle)
@@ -114,14 +115,14 @@ def check_equiangular(
     m = len(family)
     if m < 2:
         raise FamilyTooSmallError(f"equiangularity needs at least 2 members, got {m}")
-    total, lo, hi = 0.0, np.inf, -np.inf
+    sums, lo, hi = [], np.inf, -np.inf
     for _, _, a, b in pair_chunks(family.reps):
         values = pair_distances(metric, a, b, eps_angle)
-        total += float(values.sum())
+        sums.append(values.sum())
         lo = np.minimum(lo, values.min())
         hi = np.maximum(hi, values.max())
     pair_count = m * (m - 1) // 2
-    common = total / pair_count
+    common = math.fsum(sums) / pair_count
     deviation = float(max(hi - common, common - lo))
     return EquiangularReport(
         metric_id=metric.id,
@@ -138,8 +139,9 @@ def check_equiisoclinic(family: SubspaceFamily, tol: float = 1e-8) -> Equiisocli
 
     lambda is estimated jointly as the grand mean of the diagonal means, since
     the definition requires a single value for the whole family.  One scan
-    keeps the trace sum, the extreme diagonal entries and the largest
-    off-diagonal magnitude, which bound max |V^T U U^T V - lambda I| exactly.
+    keeps each chunk's trace sum, added with `math.fsum`, the extreme diagonal
+    entries and the largest off-diagonal magnitude, which bound
+    max |V^T U U^T V - lambda I| exactly.
     """
     check_tolerance(tol)
     m = len(family)
@@ -147,18 +149,18 @@ def check_equiisoclinic(family: SubspaceFamily, tol: float = 1e-8) -> Equiisocli
         raise FamilyTooSmallError(f"equi-isoclinicity needs at least 2 members, got {m}")
     k = family.k
     off = ~np.eye(k, dtype=bool)
-    trace_sum, diag_lo, diag_hi, off_hi = 0.0, np.inf, -np.inf, 0.0
+    trace_sums, diag_lo, diag_hi, off_hi = [], np.inf, -np.inf, 0.0
     for _, _, a, b in pair_chunks(family.reps):
         # V^T U U^T V for U = member i and V = member j
         cross = np.swapaxes(a, -1, -2) @ b
         gram = np.swapaxes(cross, -1, -2) @ cross
         diag = np.diagonal(gram, axis1=-2, axis2=-1)
-        trace_sum += float(diag.sum())
+        trace_sums.append(diag.sum())
         diag_lo = np.minimum(diag_lo, diag.min())
         diag_hi = np.maximum(diag_hi, diag.max())
         off_hi = np.maximum(off_hi, np.abs(gram[:, off]).max(initial=0.0))
     pair_count = m * (m - 1) // 2
-    lam = trace_sum / (k * pair_count)
+    lam = math.fsum(trace_sums) / (k * pair_count)
     deviation = float(max(diag_hi - lam, lam - diag_lo, off_hi))
     return EquiisoclinicReport(
         lam=lam,

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from grasspack import grassmann
 from grasspack.errors import ClampError, DimensionMismatchError, FullDimensionError
 from grasspack.grassmann import (
-    PAIR_CHUNK,
     Subspace,
     complement,
     complement_duality_check,
@@ -251,20 +251,26 @@ def test_duality_check_rejects_bad_eps_angle(bad):
         complement_duality_check(u, u, eps_angle=bad)
 
 
-# 0-2 members, one chunk, grouped short rows, and rows long enough to be sliced
-@pytest.mark.parametrize("m", [0, 1, 2, 33, PAIR_CHUNK // 2 + 3, PAIR_CHUNK + 90])
-def test_pair_chunks_cover_every_pair_once_in_order(m):
+# 0-2 members; whole rows; rows split into runs of 3 and of 5 pairs; one
+# pair per chunk when a single pair holds more entries than the cap
+@pytest.mark.parametrize(
+    "m, entries", [(0, 6), (1, 6), (2, 6), (40, None), (40, 18), (40, 30), (7, 5)]
+)
+def test_pair_chunks_cover_every_pair_once_in_order(monkeypatch, m, entries):
+    if entries is not None:
+        monkeypatch.setattr(grassmann, "PAIR_CHUNK_ENTRIES", entries)
+    size = max(grassmann.PAIR_CHUNK_ENTRIES // 6, 1)
     reps = np.random.default_rng(m).standard_normal((m, 3, 2))
     chunks = list(pair_chunks(reps))
-    iu, ju = np.triu_indices(m, 1)
+    assert len(chunks) == sum(-(-row // size) for row in range(1, m))
     if m < 2:
-        assert chunks == []
         return
+    iu, ju = np.triu_indices(m, 1)
     np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks]), iu)
     np.testing.assert_array_equal(np.concatenate([c[1] for c in chunks]), ju)
     for i, j, a, b in chunks:
-        assert 0 < len(i) <= PAIR_CHUNK
-        np.testing.assert_array_equal(np.broadcast_to(a, (len(i), 3, 2)), reps[i])
+        assert 0 < len(i) <= size and np.all(i == i[0])
+        np.testing.assert_array_equal(np.broadcast_to(a, b.shape), reps[i])
         np.testing.assert_array_equal(b, reps[j])
 
 

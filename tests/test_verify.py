@@ -19,7 +19,8 @@ from grasspack.errors import (
     FamilyTooSmallError,
     NotOddPrimeError,
 )
-from grasspack.grassmann import PAIR_CHUNK, Subspace, random_subspace, subspace_from_spanning
+from grasspack import grassmann
+from grasspack.grassmann import Subspace, random_subspace, subspace_from_spanning
 from grasspack.metrics import CHORDAL, FUBINI_STUDY, METRICS, THETA_1, THETA_F, THETA_K, pair_distances
 from grasspack.verify import (
     bound_blokhuis,
@@ -74,15 +75,19 @@ def test_check_equiangular_family_too_small(simplex_family):
 
 @pytest.fixture(scope="module")
 def multi_chunk_family():
-    # 300 members: 44 850 pairs in about a hundred chunks, sliced rows and grouped ones
+    # 300 members, 44 850 pairs
     rng = np.random.default_rng(163)
-    family = SubspaceFamily(2, 5, tuple(random_subspace(5, 2, rng) for _ in range(300)))
-    assert math.comb(len(family), 2) > 50 * PAIR_CHUNK
-    return family
+    return SubspaceFamily(2, 5, tuple(random_subspace(5, 2, rng) for _ in range(300)))
+
+
+# whole rows (299 chunks), and rows split into runs of at most 6 pairs (7 575 chunks)
+@pytest.fixture(params=[grassmann.PAIR_CHUNK_ENTRIES, 64])
+def chunk_entries(request, monkeypatch):
+    monkeypatch.setattr(grassmann, "PAIR_CHUNK_ENTRIES", request.param)
 
 
 @pytest.mark.parametrize("metric", list(METRICS))
-def test_check_equiangular_matches_direct_reduction(multi_chunk_family, metric):
+def test_check_equiangular_matches_direct_reduction(multi_chunk_family, chunk_entries, metric):
     reps = multi_chunk_family.reps
     iu, ju = np.triu_indices(len(reps), 1)
     values = pair_distances(metric, reps[iu], reps[ju])
@@ -93,7 +98,7 @@ def test_check_equiangular_matches_direct_reduction(multi_chunk_family, metric):
     assert abs(report.max_deviation - np.max(np.abs(values - mean))) <= 1e-15
 
 
-def test_check_equiisoclinic_matches_two_pass_formula(multi_chunk_family):
+def test_check_equiisoclinic_matches_two_pass_formula(multi_chunk_family, chunk_entries):
     reps = multi_chunk_family.reps
     k = multi_chunk_family.k
     iu, ju = np.triu_indices(len(reps), 1)
