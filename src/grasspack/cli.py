@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .constructions import (
+    LineSet,
     chordal_lift,
     complement_family,
     icosahedral_lines,
@@ -164,48 +165,39 @@ def cmd_verify(args) -> int:
     return 0 if report.verdict else 1
 
 
+def _plucker(params: dict):
+    family = load_family(params["in"])
+    return plucker_line_family(family), {"source_k": family.k, "source_n": family.n}
+
+
+# kind -> (its key=value parameters, all required, with their types; a builder
+# from the parsed parameters to the LineSet or SubspaceFamily it writes and
+# the metadata a line file records beside its construction)
+CONSTRUCTIONS = {
+    "simplex-lines": ({"n": int}, lambda p: (simplex_lines(p["n"]), p)),
+    "icosahedral-lines": ({}, lambda p: (icosahedral_lines(), p)),
+    "orthonormal-lines": ({"n": int}, lambda p: (orthonormal_lines(p["n"]), p)),
+    "lift": (
+        {"k": int, "in": str},
+        lambda p: (lift_lines_to_subspaces(load_lineset(p["in"]), p["k"]), {}),
+    ),
+    "chordal-lift": ({"in": str}, lambda p: (chordal_lift(load_family(p["in"])), {})),
+    "plucker": ({"in": str}, _plucker),
+}
+
+
 def cmd_construct(args) -> int:
-    kind = args.kind
+    types, build = CONSTRUCTIONS[args.kind]
+    params = _parse_params(args.params, types)
+    _require(params, *types)
+    made, metadata = build(params)
     out = Path(args.out)
-    if kind == "simplex-lines":
-        params = _parse_params(args.params, {"n": int})
-        _require(params, "n")
-        lines = simplex_lines(params["n"])
-        save_lineset(out, lines, {"construction": kind, "n": params["n"]})
-        summary = f"{lines.size} lines in R^{lines.n}"
-    elif kind == "icosahedral-lines":
-        _parse_params(args.params, {})
-        lines = icosahedral_lines()
-        save_lineset(out, lines, {"construction": kind})
-        summary = f"{lines.size} lines in R^{lines.n}"
-    elif kind == "orthonormal-lines":
-        params = _parse_params(args.params, {"n": int})
-        _require(params, "n")
-        lines = orthonormal_lines(params["n"])
-        save_lineset(out, lines, {"construction": kind, "n": params["n"]})
-        summary = f"{lines.size} lines in R^{lines.n}"
-    elif kind == "lift":
-        params = _parse_params(args.params, {"k": int, "in": str})
-        _require(params, "k", "in")
-        lines = load_lineset(params["in"])
-        family = lift_lines_to_subspaces(lines, params["k"])
-        save_family(out, family)
-        summary = f"{len(family)} subspaces in Gr({family.k},{family.n})"
-    elif kind == "chordal-lift":
-        params = _parse_params(args.params, {"in": str})
-        _require(params, "in")
-        family = chordal_lift(load_family(params["in"]))
-        save_family(out, family)
-        summary = f"{len(family)} subspaces in Gr({family.k},{family.n})"
-    elif kind == "plucker":
-        params = _parse_params(args.params, {"in": str})
-        _require(params, "in")
-        family = load_family(params["in"])
-        lines = plucker_line_family(family)
-        save_lineset(
-            out, lines, {"construction": kind, "source_k": family.k, "source_n": family.n}
-        )
-        summary = f"{lines.size} lines in R^{lines.n}"
+    if isinstance(made, LineSet):
+        save_lineset(out, made, {"construction": args.kind, **metadata})
+        summary = f"{made.size} lines in R^{made.n}"
+    else:
+        save_family(out, made)
+        summary = f"{len(made)} subspaces in Gr({made.k},{made.n})"
     print(f"wrote {summary} to {out}")
     return 0
 
@@ -355,17 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("construct", parents=[common], help="generate a family file")
-    p.add_argument(
-        "kind",
-        choices=(
-            "simplex-lines",
-            "icosahedral-lines",
-            "orthonormal-lines",
-            "lift",
-            "chordal-lift",
-            "plucker",
-        ),
-    )
+    p.add_argument("kind", choices=tuple(CONSTRUCTIONS))
     p.add_argument("params", nargs="*", help="key=value parameters, e.g. n=3 k=2 in=f.json")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_construct)

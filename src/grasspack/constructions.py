@@ -15,9 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AngleZeroError, DimensionMismatchError, NotEquiangularError
+from .errors import AngleZeroError, DimensionMismatchError, FamilyTooSmallError, NotEquiangularError
 from .grassmann import Subspace, complement, pair_chunks, sign_fix_columns
-from .linalg import EPS_ORTH
+from .linalg import EPS_ORTH, check_tolerance
 
 
 # ||U_i^T U_j||_F^2 >= k (1 - _COINCIDENT_SLACK) marks a pair of family
@@ -65,6 +65,7 @@ class LineSet:
     @classmethod
     def from_vectors(cls, vectors, tol: float = 1e-9) -> "LineSet":
         """Build a LineSet from unit vectors, checking equiangularity within `tol`."""
+        check_tolerance(tol)
         vectors = np.array(vectors, dtype=float)
         if vectors.ndim != 2:
             raise ValueError("expected an (N, n) array of vectors")
@@ -271,6 +272,8 @@ def plucker_line_family(family: SubspaceFamily) -> LineSet:
     The pairwise |<phi(U_i), phi(U_j)>| = |det(U_i^T U_j)| must share one
     value (cos of the common Fubini-Study angle); otherwise NotEquiangular.
     """
+    if len(family) < 1:
+        raise FamilyTooSmallError("Pluecker lines need at least one family member")
     phis = np.array([plucker_embed(member) for member in family.members])
     norms = np.linalg.norm(phis, axis=1)
     phis /= norms[:, None]

@@ -207,21 +207,15 @@ def parse_family_doc(doc) -> SubspaceFamily:
 
 
 def parse_lineset_doc(doc) -> LineSet:
-    """Build a LineSet from a doc of kind 'lines', checking equiangularity."""
+    """Build a LineSet from a doc of kind 'lines', checking equiangularity.
+
+    The members load through `parse_family_doc` as a Gr(1, n) family, so a
+    line file gets the same checks and normalization as any other.
+    """
     doc = _validate_doc(doc)
     if doc["kind"] != KIND_LINES:
         raise ParseError(f"expected kind 'lines', got {doc['kind']!r}")
-    n = doc["n"]
-    vectors = []
-    for index, entry in enumerate(doc["members"]):
-        arr = _member_matrix(entry, n, 1, KIND_LINES, index).ravel()
-        norm = float(np.linalg.norm(arr))
-        if norm == 0.0:
-            raise ParseError(f"member {index} is the zero vector")
-        if abs(norm - 1.0) > EPS_ORTH:
-            arr = arr / norm
-        vectors.append(arr)
-    return LineSet.from_vectors(np.array(vectors), tol=1e-8)
+    return LineSet.from_vectors(parse_family_doc(doc).reps[:, :, 0], tol=1e-8)
 
 
 def read_json(path):

@@ -65,14 +65,6 @@ def clamp_unit_interval(x):
     return np.clip(x, 0.0, 1.0)
 
 
-def _signed_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q of a (..., n, k) stack with diag R > 0, and the (..., k) dependent-column mask."""
-    q, r = np.linalg.qr(a)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    dependent = np.abs(diag) <= EPS_ORTH * np.maximum(1.0, np.sqrt((a * a).sum(axis=-2)))
-    return q * np.sign(diag)[..., None, :], dependent
-
-
 def orthonormalize(a) -> np.ndarray:
     """Orthonormal basis of the column span of `a`: the Q of a QR with diag R > 0.
 
@@ -84,9 +76,9 @@ def orthonormalize(a) -> np.ndarray:
     n, k = m.shape
     if k > n:
         raise RankDeficientError(f"{k} columns cannot be independent in R^{n}")
-    q, dependent = _signed_qr(m)
-    if np.any(dependent):
-        raise RankDeficientError(f"column {int(np.argmax(dependent))} is numerically dependent")
+    q, independent = orthonormalize_stack(m)
+    if not independent:
+        raise RankDeficientError("columns are numerically dependent")
     return q
 
 
@@ -103,8 +95,10 @@ def orthonormalize_stack(a) -> tuple[np.ndarray, np.ndarray]:
     if a.shape[-1] == 1:
         norm = np.sqrt((a * a).sum(axis=-2, keepdims=True))
         return a / np.maximum(norm, EPS_ORTH), norm[..., 0, 0] > EPS_ORTH
-    q, dependent = _signed_qr(a)
-    return q, ~dependent.any(axis=-1)
+    q, r = np.linalg.qr(a)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    dependent = np.abs(diag) <= EPS_ORTH * np.maximum(1.0, np.sqrt((a * a).sum(axis=-2)))
+    return q * np.sign(diag)[..., None, :], ~dependent.any(axis=-1)
 
 
 def symmetric_eigenvalues(s) -> np.ndarray:

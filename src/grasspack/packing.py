@@ -57,7 +57,7 @@ import numpy as np
 from .constructions import SubspaceFamily
 from .errors import InvalidProblemError, RankDeficientError, UnknownMetricError
 from .grassmann import Subspace, sign_fix_columns
-from .linalg import orthonormalize, orthonormalize_stack
+from .linalg import orthonormalize_stack
 from .metrics import Metric, get_metric, pair_distances
 
 OBJECTIVES = ("maximin", "equiangular_variance")
@@ -341,19 +341,15 @@ def perturb(family: SubspaceFamily, scale: float, seed: int = 0) -> SubspaceFami
 
     scale = 0 is the identity on spans; a fixed seed gives bit-identical output.
     """
-    if scale < 0.0:
-        raise ValueError(f"scale must be >= 0, got {scale}")
+    if not (math.isfinite(scale) and scale >= 0.0):
+        raise ValueError(f"scale must be finite and >= 0, got {scale!r}")
     rng = np.random.default_rng(seed % (2**63))
-    members = tuple(
-        Subspace(
-            sign_fix_columns(
-                orthonormalize(
-                    member.rep + scale * rng.standard_normal((family.n, family.k))
-                )
-            )
-        )
-        for member in family.members
+    reps, independent = orthonormalize_stack(
+        family.reps + scale * rng.standard_normal(family.reps.shape)
     )
+    if not independent.all():
+        raise RankDeficientError("perturbed members are numerically dependent")
+    members = tuple(Subspace(sign_fix_columns(rep)) for rep in reps)
     return SubspaceFamily(
         family.k,
         family.n,

@@ -14,6 +14,9 @@ from .grassmann import pair_chunks
 from .linalg import EPS_ANGLE, check_eps_angle, check_tolerance
 from .metrics import get_metric, pair_distances
 
+# A certificate of at most this many members keeps its evaluation matrix.
+EVAL_MATRIX_MAX = 50
+
 
 @dataclass(frozen=True)
 class EquiangularReport:
@@ -65,13 +68,14 @@ class Certificate:
     P_j is the j-th projector; for a family pairwise equiangular with common
     angle alpha (any angle distance) this is (1 - lambda)^k on the diagonal
     and 0 elsewhere, which forces the f_i to be linearly independent inside a
-    space of dimension C(C(n+1,2) + k - 1, k).
+    space of dimension C(C(n+1,2) + k - 1, k).  The matrix is kept only for
+    m <= EVAL_MATRIX_MAX (None above that); the maxima cover every entry.
     """
 
     m: int
     alpha: float
     lam: float
-    eval_matrix: np.ndarray
+    eval_matrix: np.ndarray | None
     diagonal_target: float
     max_diag_deviation: float
     max_offdiag: float
@@ -92,7 +96,7 @@ class Certificate:
             "verdict": self.verdict,
         }
         # full matrix only at desk scale; summary stats always present
-        if self.m <= 50:
+        if self.m <= EVAL_MATRIX_MAX:
             doc["eval_matrix"] = self.eval_matrix.tolist()
         return doc
 
@@ -200,27 +204,28 @@ def polynomial_certificate(
     reps = family.reps
     # U_i^T P_j U_i = C C^T with C = U_i^T U_j, so no n x n projector is built
     shifts = lam * np.sum(reps * reps, axis=(1, 2)) / k  # lambda tr(P_j) / k
-    eval_matrix = np.empty((m, m))
+    # each row is reduced as it is made; only the rows `to_dict` emits are kept
+    rows = [] if m <= EVAL_MATRIX_MAX else None
+    max_diag_deviation = max_offdiag = 0.0
     for i in range(m):
         cross = reps[i].T @ reps
-        eval_matrix[i] = np.linalg.det(
+        row = np.linalg.det(
             cross @ np.swapaxes(cross, -1, -2) - shifts[:, None, None] * np.eye(k)
         )
+        max_diag_deviation = max(max_diag_deviation, abs(float(row[i]) - target))
+        if rows is not None:
+            rows.append(row)
+        off = np.abs(row)
+        off[i] = 0.0
+        max_offdiag = max(max_offdiag, float(off.max()))
     bound = bound_angle_distance(k, family.n)
-    diag = np.diag(eval_matrix)
-    max_diag_deviation = float(np.max(np.abs(diag - target)))
-    if m > 1:
-        off_mask = ~np.eye(m, dtype=bool)
-        max_offdiag = float(np.max(np.abs(eval_matrix[off_mask])))
-    else:
-        max_offdiag = 0.0
     scaled = tol * (1.0 + abs(1.0 - lam) ** k)
     verdict = max_diag_deviation <= scaled and max_offdiag <= scaled and m <= bound
     return Certificate(
         m=m,
         alpha=alpha,
         lam=lam,
-        eval_matrix=eval_matrix,
+        eval_matrix=None if rows is None else np.array(rows),
         diagonal_target=target,
         max_diag_deviation=max_diag_deviation,
         max_offdiag=max_offdiag,

@@ -73,6 +73,23 @@ def test_construct_plucker(tmp_path):
     assert lines.size == 2
     assert lines.n == 6
     assert lines.common_cos == pytest.approx(0.0, abs=1e-12)
+    metadata = json.loads(out.read_text())["metadata"]
+    assert metadata == {
+        "common_cos": 0.0, "construction": "plucker", "source_k": 2, "source_n": 4
+    }
+
+
+def test_construct_plucker_empty_family_exit_2(tmp_path, capsys):
+    src = tmp_path / "empty.json"
+    src.write_text(
+        dumps_json(
+            {"schema_version": "1", "kind": "subspaces", "n": 4, "k": 2, "members": [], "metadata": {}}
+        )
+    )
+    out = tmp_path / "plucker.json"
+    assert main(["construct", "plucker", f"in={src}", "-o", str(out)]) == 2
+    assert "at least one family member" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_construct_bad_params_exit_2(tmp_path):
@@ -238,6 +255,35 @@ def test_certify_simplex_bound_tight(lines_file, capsys):
     assert doc["verdict"] is True
 
 
+def test_certify_text_output(tmp_path, capsys):
+    # coordinate axes keep every determinant exact, so the bytes are stable
+    axes = tmp_path / "axes.json"
+    assert main(["construct", "orthonormal-lines", "n=3", "-o", str(axes)]) == 0
+    capsys.readouterr()
+    assert main(["certify", str(axes), "--alpha", str(math.pi / 2)]) == 0
+    assert capsys.readouterr().out == (
+        "members:             3\n"
+        "alpha:               1.57079632679 rad\n"
+        "lambda = cos^2:      3.74939945665e-33\n"
+        "diagonal target:     1\n"
+        "max diag deviation:  0\n"
+        "max off-diagonal:    3.7494e-33\n"
+        "bound:               6\n"
+        "verdict:             CERTIFIED (m=3, bound=6)\n"
+    )
+    assert main(["certify", str(axes), "--alpha", str(math.pi / 3)]) == 1
+    assert capsys.readouterr().out == (
+        "members:             3\n"
+        "alpha:               1.0471975512 rad\n"
+        "lambda = cos^2:      0.25\n"
+        "diagonal target:     0.75\n"
+        "max diag deviation:  0\n"
+        "max off-diagonal:    0.25\n"
+        "bound:               6\n"
+        "verdict:             FAILED (m=3, bound=6)\n"
+    )
+
+
 def test_certify_alpha_zero_exit_2(lift_file):
     assert main(["certify", str(lift_file), "--alpha", "0"]) == 2
 
@@ -307,6 +353,16 @@ def test_bounds_tables(capsys):
     assert main(["bounds", "1", "5", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["bounds"]["decaen-lower"] == 8
+
+    assert main(["bounds", "2", "5"]) == 0
+    assert capsys.readouterr().out == (
+        "angle-distance  120\n"
+        "blokhuis        715\n"
+        "chordal         15\n"
+        "fubini-study    55\n"
+        "lemmens-seidel  13\n"
+        "decaen-lower    8\n"
+    )
 
 
 def test_bounds_rejects_bad_params():
@@ -523,6 +579,12 @@ def test_lines_catalog(capsys):
     doc = json.loads(capsys.readouterr().out)
     kinds = {entry["kind"] for entry in doc["catalog"]}
     assert kinds == {"simplex-lines", "icosahedral-lines", "orthonormal-lines"}
+    assert main(["lines-catalog"]) == 0
+    assert capsys.readouterr().out == (
+        "simplex-lines      ambient n >= 2   size n + 1  |cos| = 1/n\n"
+        "icosahedral-lines  ambient n = 3    size 6      |cos| = 1/sqrt(5)\n"
+        "orthonormal-lines  ambient n >= 1   size n      |cos| = 0\n"
+    )
 
 
 def test_missing_file_exit_2(tmp_path):

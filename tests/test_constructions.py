@@ -18,7 +18,7 @@ from grasspack.constructions import (
     plucker_line_family,
     simplex_lines,
 )
-from grasspack.errors import AngleZeroError, NotEquiangularError
+from grasspack.errors import AngleZeroError, FamilyTooSmallError, NotEquiangularError
 from grasspack.grassmann import (
     principal_angles,
     projection_matrix,
@@ -93,6 +93,10 @@ def test_lineset_tolerance_is_the_callers():
     assert lines.common_cos == pytest.approx(0.5, abs=1e-6)
     with pytest.raises(NotEquiangularError, match="spread 1.7"):
         LineSet.from_vectors(vectors, tol=1e-8)
+    spread = np.array([[1.0, 0.0], [0.0, 1.0], [np.cos(0.3), np.sin(0.3)]])
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            LineSet.from_vectors(spread, tol=bad)
 
 
 def test_lift_rejects_vanishing_angle():
@@ -244,6 +248,11 @@ def test_plucker_line_family_orthogonal_planes():
     assert lines.size == 2
     assert lines.n == 6
     assert lines.common_cos == pytest.approx(0.0, abs=1e-12)
+
+
+def test_plucker_line_family_rejects_empty_family():
+    with pytest.raises(FamilyTooSmallError, match="at least one family member"):
+        plucker_line_family(SubspaceFamily(2, 4, ()))
 
 
 def test_plucker_line_family_identity_on_lines():

@@ -213,3 +213,40 @@ def test_sloppy_user_vectors_are_normalized(tmp_path):
     fam = load_family(path)
     for member in fam.members:
         assert np.linalg.norm(member.rep) == pytest.approx(1.0, abs=1e-12)
+    # a line file loads through the family parser, so its lines match its members
+    lines = load_lineset(path)
+    np.testing.assert_array_equal(lines.vectors, fam.reps[:, :, 0])
+    assert lines.common_cos == pytest.approx(math.sqrt(0.5), abs=1e-15)
+
+
+def test_nearly_unit_lines_are_normalized(tmp_path):
+    # |v| - 1 = 7e-11 but v.v - 1 = 1.4e-10 > EPS_ORTH: the lines load as
+    # unit vectors, so lifting them yields orthonormal members
+    doc = {
+        "schema_version": "1",
+        "kind": "lines",
+        "n": 2,
+        "k": 1,
+        "members": [[1.0 + 7e-11, 0.0], [-0.5, math.sqrt(0.75)]],
+        "metadata": {},
+    }
+    path = tmp_path / "nearly.json"
+    path.write_text(dumps_json(doc))
+    lines = load_lineset(path)
+    assert np.abs(np.linalg.norm(lines.vectors, axis=1) - 1.0).max() <= 1e-15
+    assert len(lift_lines_to_subspaces(lines, 2)) == 4
+
+
+@pytest.mark.parametrize(
+    "members, message",
+    [
+        ([[0.0, 0.0], [1.0, 0.0]], "member 0: columns are numerically dependent"),
+        ([[0.6, 0.8], [0.6, 0.8]], "family members 0 and 1 coincide"),
+    ],
+)
+def test_degenerate_lines_rejected(tmp_path, members, message):
+    doc = {"schema_version": "1", "kind": "lines", "n": 2, "k": 1, "members": members, "metadata": {}}
+    path = tmp_path / "degenerate.json"
+    path.write_text(dumps_json(doc))
+    with pytest.raises(ParseError, match=message):
+        load_lineset(path)

@@ -237,6 +237,19 @@ def test_duality_check_random_pairs():
         assert complement_duality_check(u, v)
 
 
+def test_duality_check_count_mismatch_is_false():
+    # a single angle of exactly eps_angle: the lines compute it as eps_angle,
+    # which counts as zero, and their complements one ulp above, which does
+    # not; so the nonzero counts differ and no tolerance makes the check pass
+    t = EPS_ANGLE
+    u = Subspace(e(0, 2)[:, None])
+    v = Subspace(np.array([[np.cos(t)], [np.sin(t)]]))
+    direct = grassmann.nonzero_angles(principal_angles(u, v), EPS_ANGLE)
+    dual = grassmann.nonzero_angles(principal_angles(complement(u), complement(v)), EPS_ANGLE)
+    assert (direct.size, dual.size) == (0, 1)
+    assert not complement_duality_check(u, v, tol=1.0)
+
+
 @pytest.mark.parametrize("bad", [{"tol": np.nan}, {"tol": -1.0}])
 def test_duality_check_rejects_bad_tolerance(bad):
     u = span(e(0, 3))

@@ -357,8 +357,9 @@ def test_perturb_deterministic():
 
 def test_perturb_rejects_negative_scale():
     family = lift_lines_to_subspaces(simplex_lines(2), 1)
-    with pytest.raises(ValueError):
-        perturb(family, -0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="scale must be finite and >= 0"):
+            perturb(family, bad)
 
 
 def test_result_type_shape():

@@ -164,6 +164,19 @@ def test_check_equiisoclinic_lift_family_fails(lift9):
     assert not report.verdict  # cross-Gram spectra mix 1 and cos^2(alpha)
 
 
+def test_equiisoclinic_report_to_dict():
+    u = subspace_from_spanning(np.eye(4)[:, :2])
+    v = subspace_from_spanning(np.eye(4)[:, 2:])
+    report = check_equiisoclinic(SubspaceFamily(2, 4, (u, v)), tol=1e-6)
+    assert report.to_dict() == {
+        "lambda": 0.0,
+        "pair_count": 1,
+        "max_deviation": 0.0,
+        "tolerance": 1e-6,
+        "verdict": True,
+    }
+
+
 def test_check_equiisoclinic_family_too_small(simplex_family):
     lonely = SubspaceFamily(1, 2, (simplex_family[0],))
     with pytest.raises(FamilyTooSmallError):
@@ -187,6 +200,9 @@ def test_certificate_lift9(lift9):
     np.testing.assert_allclose(diag, 0.5625, atol=1e-8)
     off = cert.eval_matrix[~np.eye(9, dtype=bool)]
     assert np.max(np.abs(off)) <= 1e-8
+    # the maxima reduce the kept matrix exactly
+    assert cert.max_diag_deviation == np.max(np.abs(diag - cert.diagonal_target))
+    assert cert.max_offdiag == np.max(np.abs(off))
 
 
 def test_certificate_single_member():
@@ -207,6 +223,26 @@ def test_certificate_simplex_lines_tight(simplex_family):
     # 1x1 determinants are <u_i, u_j>^2 - 1/4 = 0 off the diagonal
     off = cert.eval_matrix[~np.eye(3, dtype=bool)]
     np.testing.assert_allclose(off, 0.0, atol=1e-10)
+
+
+def test_certificate_reduces_rows_in_bounded_memory():
+    rng = np.random.default_rng(173)
+    vectors = rng.standard_normal((600, 4))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    family = SubspaceFamily(1, 4, tuple(Subspace(v[:, None]) for v in vectors))
+    tracemalloc.start()
+    try:
+        cert = polynomial_certificate(family, np.pi / 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 600 x 600 evaluation matrix alone would take 2.9 MB
+    assert peak < 1_000_000
+    assert cert.eval_matrix is None and "eval_matrix" not in cert.to_dict()
+    # 1 x 1 determinants: <u_i, u_j>^2 - 1/4
+    full = (vectors @ vectors.T) ** 2 - 0.25
+    assert cert.max_diag_deviation <= 1e-15
+    assert cert.max_offdiag == pytest.approx(np.max(np.abs(full - 0.75 * np.eye(600))), abs=1e-15)
 
 
 def test_certificate_alpha_zero_rejected(lift9):
