@@ -10,23 +10,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AngleZeroError, DimensionMismatchError, FamilyTooSmallError, NotEquiangularError
-from .grassmann import Subspace, complement, pair_chunks, sign_fix_columns
+from .grassmann import PAIR_CHUNK_ENTRIES, Subspace, complements, pair_chunks, sign_fix_columns
 from .linalg import EPS_ORTH, check_tolerance
 
 
 # ||U_i^T U_j||_F^2 >= k (1 - _COINCIDENT_SLACK) marks a pair of family
 # members as possibly coincident (see SubspaceFamily.__post_init__).
 _COINCIDENT_SLACK = 1e-6
-
-
-def _sign_fix_rows(vectors: np.ndarray) -> np.ndarray:
-    return sign_fix_columns(vectors.T).T
 
 
 def _projectors(reps: np.ndarray) -> np.ndarray:
@@ -98,25 +93,41 @@ class LineSet:
         return f"LineSet(size={self.size}, n={self.n}, common_cos={self.common_cos:.6g})"
 
 
-@dataclass(frozen=True, eq=False)
 class SubspaceFamily:
-    """An ordered family of same-(k, n) subspaces plus free-form provenance."""
+    """An ordered family of same-(k, n) subspaces, stored as one stack.
 
-    k: int
-    n: int
-    members: tuple[Subspace, ...]
-    provenance: str = ""
-    metadata: dict = field(default_factory=dict)
+    reps is the (m, n, k) read-only array of orthonormal representatives;
+    provenance and metadata are free-form and go to the family's file.
+    `from_stack` builds a family from its stack; calling the class with
+    (k, n, Subspace members) stacks them and runs the same checks: each
+    member orthonormal within EPS_ORTH, no two members coincident.  Members
+    are read-only Subspace views of the stack, neither copied nor re-checked.
+    """
 
-    def __post_init__(self) -> None:
-        members = tuple(self.members)
-        object.__setattr__(self, "members", members)
-        for member in members:
-            if (member.k, member.n) != (self.k, self.n):
-                raise DimensionMismatchError(
-                    f"family member in Gr({member.k},{member.n}) does not match "
-                    f"Gr({self.k},{self.n})"
-                )
+    def __init__(self, k: int, n: int, members, provenance: str = "", metadata: dict | None = None):
+        reps = [member.rep for member in members]
+        if any(rep.shape != (n, k) for rep in reps):
+            raise DimensionMismatchError(f"family members must all lie in Gr({k},{n})")
+        self.__post_init__(np.array(reps).reshape(-1, n, k), provenance, metadata)
+
+    @classmethod
+    def from_stack(cls, reps, provenance: str = "", metadata: dict | None = None) -> "SubspaceFamily":
+        """The family whose member i has the representative reps[i] of an (m, n, k) stack."""
+        family = cls.__new__(cls)
+        family.__post_init__(reps, provenance, metadata)
+        return family
+
+    def __post_init__(self, reps, provenance: str, metadata: dict | None) -> None:
+        # Both constructors' checks, named as the dataclass hook they replace so
+        # bench/ still times them; a k > n stack or a NaN fails orthonormality.
+        reps = np.array(reps, dtype=float)
+        _, n, k = reps.shape
+        err = np.abs(np.swapaxes(reps, -1, -2) @ reps - np.eye(k)).max(axis=(-2, -1))
+        if not (err <= EPS_ORTH).all():
+            i = np.argmin(err <= EPS_ORTH)
+            raise ValueError(f"member {i}: representative is not orthonormal (residual {err[i]:.3e})")
+        reps.setflags(write=False)
+        vars(self).update(reps=reps, provenance=provenance, metadata=dict(metadata or {}), n=n, k=k)
         # Members i and j coincide when their projectors agree entrywise
         # within EPS_ORTH.  With C = U_i^T U_j and G = U^T U,
         # ||P_i - P_j||_F^2 = ||G_i||_F^2 + ||G_j||_F^2 - 2 ||C||_F^2, where
@@ -127,8 +138,7 @@ class SubspaceFamily:
         # (and above the roundoff of ||C||_F^2) for every k and any n below
         # 10^6, so it never drops a coincident pair; only the pairs it keeps
         # go to the entrywise projector test.
-        reps = self.reps
-        floor = self.k * (1.0 - _COINCIDENT_SLACK)
+        floor = k * (1.0 - _COINCIDENT_SLACK)
         for i, j, a, b in pair_chunks(reps):
             cross = np.swapaxes(a, -1, -2) @ b
             near = (cross * cross).sum(axis=(-2, -1)) >= floor
@@ -140,26 +150,24 @@ class SubspaceFamily:
             if hits.size:
                 raise ValueError(f"family members {i[hits[0]]} and {j[hits[0]]} coincide")
 
-    @cached_property
-    def reps(self) -> np.ndarray:
-        """The (m, n, k) read-only stack of member representatives."""
-        stack = np.array([member.rep for member in self.members]).reshape(
-            len(self.members), self.n, self.k
-        )
-        stack.setflags(write=False)
-        return stack
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot set {name!r}: a SubspaceFamily is immutable")
+
+    @property
+    def members(self) -> tuple[Subspace, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.reps.shape[0]
 
     def __iter__(self):
-        return iter(self.members)
+        return map(Subspace.view, self.reps)
 
-    def __getitem__(self, idx: int) -> Subspace:
-        return self.members[idx]
+    def __getitem__(self, idx):
+        return self.members[idx] if isinstance(idx, slice) else Subspace.view(self.reps[idx])
 
     def __repr__(self) -> str:
-        return f"SubspaceFamily(m={len(self.members)}, k={self.k}, n={self.n})"
+        return f"SubspaceFamily(m={len(self)}, k={self.k}, n={self.n})"
 
 
 def simplex_lines(n: int) -> LineSet:
@@ -174,8 +182,7 @@ def simplex_lines(n: int) -> LineSet:
     m = n + 1
     centered = np.eye(m) - 1.0 / m  # rows e_i - centroid, all orthogonal to 1
     ones = np.full((m, 1), 1.0 / math.sqrt(m))
-    hyperplane = complement(Subspace(ones))
-    coords = centered @ hyperplane.rep
+    coords = centered @ complements(ones)
     coords /= np.linalg.norm(coords, axis=1, keepdims=True)
     # keep the true vertex vectors: the signed inner products are exactly -1/n
     return LineSet.from_vectors(coords, tol=1e-11)
@@ -195,7 +202,7 @@ def icosahedral_lines() -> LineSet:
         ]
     )
     vectors = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    return LineSet.from_vectors(_sign_fix_rows(vectors), tol=1e-11)
+    return LineSet.from_vectors(sign_fix_columns(vectors.T).T, tol=1e-11)
 
 
 def orthonormal_lines(n: int) -> LineSet:
@@ -218,19 +225,15 @@ def lift_lines_to_subspaces(lines: LineSet, k: int) -> SubspaceFamily:
     if lines.common_cos >= 1.0 - 1e-9:
         raise AngleZeroError("lift requires a strictly positive common angle")
     count, n = lines.size, lines.n
-    members = []
-    for tup in itertools.product(range(count), repeat=k):
-        rep = np.zeros((k * n, k))
-        for i, idx in enumerate(tup):
-            rep[i * n : (i + 1) * n, i] = lines.vectors[idx]
-        members.append(Subspace(rep))
-    alpha = lines.common_angle
-    return SubspaceFamily(
-        k,
-        k * n,
-        tuple(members),
+    # member t takes line tuples[slot, t] as its column `slot`, in block `slot`
+    tuples = np.indices((count,) * k).reshape(k, -1)
+    reps = np.zeros((tuples.shape[1], k, n, k))
+    slots = np.arange(k)
+    reps[:, slots, :, slots] = lines.vectors[tuples]
+    return SubspaceFamily.from_stack(
+        reps.reshape(-1, k * n, k),
         provenance=f"lift(k={k}) of {count} lines in R^{n}",
-        metadata={"construction": "lift", "k": k, "common_angle": alpha},
+        metadata={"construction": "lift", "k": k, "common_angle": lines.common_angle},
     )
 
 
@@ -240,16 +243,12 @@ def chordal_lift(family: SubspaceFamily) -> SubspaceFamily:
     The added principal angle between any two lifted members is 0, so all
     pairwise chordal distances are preserved exactly.
     """
-    members = []
-    for member in family.members:
-        rep = np.zeros((family.n + 1, family.k + 1))
-        rep[: family.n, : family.k] = member.rep
-        rep[family.n, family.k] = 1.0
-        members.append(Subspace(rep))
-    return SubspaceFamily(
-        family.k + 1,
-        family.n + 1,
-        tuple(members),
+    m, n, k = family.reps.shape
+    reps = np.zeros((m, n + 1, k + 1))
+    reps[:, :n, :k] = family.reps
+    reps[:, n, k] = 1.0
+    return SubspaceFamily.from_stack(
+        reps,
         provenance=f"chordal_lift of [{family.provenance}]",
         metadata=dict(family.metadata, construction="chordal_lift"),
     )
@@ -274,19 +273,21 @@ def plucker_line_family(family: SubspaceFamily) -> LineSet:
     """
     if len(family) < 1:
         raise FamilyTooSmallError("Pluecker lines need at least one family member")
-    phis = np.array([plucker_embed(member) for member in family.members])
+    rows = np.array(list(itertools.combinations(range(family.n), family.k)))
+    phis = np.empty((len(family), len(rows)))
+    # one det batch per run of members whose k x k minors fit in PAIR_CHUNK_ENTRIES
+    step = max(PAIR_CHUNK_ENTRIES // rows.size // family.k, 1)
+    for lo in range(0, len(family), step):
+        phis[lo : lo + step] = np.linalg.det(family.reps[lo : lo + step, rows])
     norms = np.linalg.norm(phis, axis=1)
     phis /= norms[:, None]
-    return LineSet.from_vectors(_sign_fix_rows(phis), tol=1e-8)
+    return LineSet.from_vectors(sign_fix_columns(phis.T).T, tol=1e-8)
 
 
 def complement_family(family: SubspaceFamily) -> SubspaceFamily:
     """Member-wise orthogonal complement: Gr(k, n) -> Gr(n-k, n)."""
-    members = tuple(complement(member) for member in family.members)
-    return SubspaceFamily(
-        family.n - family.k,
-        family.n,
-        members,
+    return SubspaceFamily.from_stack(
+        complements(family.reps),
         provenance=f"complement of [{family.provenance}]",
         metadata=dict(family.metadata, construction="complement"),
     )

@@ -3,7 +3,8 @@
 Files carry schema_version "1", a kind ("lines" or "subspaces"), the (n, k)
 shape, the members as row-major nested lists, and a free-form metadata map.
 Floats are emitted with 17 significant digits, so writing and re-reading a
-file reproduces every double bit-for-bit.
+file reproduces every double bit-for-bit except -0.0: it is written as the
+JSON integer -0, which reads back as +0.0.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import numpy as np
 
 from .constructions import LineSet, SubspaceFamily
 from .errors import GrasspackError, ParseError
-from .grassmann import Subspace
-from .linalg import EPS_ORTH, orthonormalize
+from .linalg import EPS_ORTH, orthonormalize_stack
 
 SCHEMA_VERSION = "1"
 
@@ -96,17 +96,14 @@ def _atom(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
 
 
+def _doc(kind: str, n: int, k: int, members: list, metadata: dict) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, "n": n, "k": k, "members": members,
+            "metadata": metadata}
+
+
 def lineset_to_doc(lines: LineSet, metadata: dict | None = None) -> dict:
-    meta = {"common_cos": float(lines.common_cos)}
-    meta.update(metadata or {})
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": KIND_LINES,
-        "n": lines.n,
-        "k": 1,
-        "members": [vec.tolist() for vec in lines.vectors],
-        "metadata": meta,
-    }
+    meta = {"common_cos": float(lines.common_cos), **(metadata or {})}
+    return _doc(KIND_LINES, lines.n, 1, lines.vectors.tolist(), meta)
 
 
 def family_to_doc(family: SubspaceFamily, metadata: dict | None = None) -> dict:
@@ -114,14 +111,7 @@ def family_to_doc(family: SubspaceFamily, metadata: dict | None = None) -> dict:
     if family.provenance:
         meta.setdefault("provenance", family.provenance)
     meta.update(metadata or {})
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": KIND_SUBSPACES,
-        "n": family.n,
-        "k": family.k,
-        "members": [member.rep.tolist() for member in family.members],
-        "metadata": meta,
-    }
+    return _doc(KIND_SUBSPACES, family.n, family.k, family.reps.tolist(), meta)
 
 
 def _validate_doc(doc) -> dict:
@@ -180,25 +170,30 @@ def parse_family_doc(doc) -> SubspaceFamily:
     """Build a SubspaceFamily from a validated doc; lines load as Gr(1, n).
 
     Representatives are re-orthonormalized on load (span-preserving; a no-op
-    within roundoff for files this package wrote).
+    within roundoff for files this package wrote).  The first member that is
+    malformed or rank-deficient fails the load, named by its index.
     """
     doc = _validate_doc(doc)
-    n, k, kind = doc["n"], doc["k"], doc["kind"]
-    members = []
-    for index, entry in enumerate(doc["members"]):
-        arr = _member_matrix(entry, n, k, kind, index)
-        residual = float(np.max(np.abs(arr.T @ arr - np.eye(k))))
+    n, k, entries = doc["n"], doc["k"], doc["members"]
+    # a malformed member's error waits until the members before it pass the rank check
+    reps, malformed = np.empty((len(entries), n, k)), None
+    for index, entry in enumerate(entries):
         try:
-            if residual > EPS_ORTH:  # sloppy hand-written spans get cleaned
-                arr = orthonormalize(arr)
-            members.append(Subspace(arr))
-        except GrasspackError as exc:
-            raise ParseError(f"member {index}: {exc}") from None
+            reps[index] = _member_matrix(entry, n, k, doc["kind"], index)
+        except ParseError as exc:
+            reps, malformed = reps[:index], exc
+            break
+    residual = np.abs(np.swapaxes(reps, -1, -2) @ reps - np.eye(k)).max(axis=(-2, -1))
+    sloppy = np.flatnonzero(residual > EPS_ORTH)  # sloppy hand-written spans get cleaned
+    reps[sloppy], independent = orthonormalize_stack(reps[sloppy])
+    if not independent.all():
+        index = sloppy[np.argmin(independent)]
+        raise ParseError(f"member {index}: columns are numerically dependent")
+    if malformed is not None:
+        raise malformed
     try:
-        return SubspaceFamily(
-            k,
-            n,
-            tuple(members),
+        return SubspaceFamily.from_stack(
+            reps,
             provenance=str(doc["metadata"].get("provenance", "")),
             metadata=dict(doc["metadata"]),
         )

@@ -38,13 +38,11 @@ PAIR_CHUNK_ENTRIES = 131072
 
 
 def sign_fix_columns(q: np.ndarray) -> np.ndarray:
-    """Flip column signs so each column's first entry above EPS_ORTH is positive."""
+    """Flip each column of an (..., n, k) stack so its first entry above EPS_ORTH is positive."""
     q = np.array(q, dtype=float)
-    for j in range(q.shape[1]):
-        nz = np.flatnonzero(np.abs(q[:, j]) > EPS_ORTH)
-        if nz.size and q[nz[0], j] < 0.0:
-            q[:, j] = -q[:, j]
-    return q
+    big = np.abs(q) > EPS_ORTH
+    pivots = np.take_along_axis(q * big, big.argmax(axis=-2)[..., None, :], axis=-2)
+    return np.where(pivots < 0.0, -q, q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +63,13 @@ class Subspace:
             )
         rep.setflags(write=False)
         object.__setattr__(self, "rep", rep)
+
+    @classmethod
+    def view(cls, rep: np.ndarray) -> "Subspace":
+        """A Subspace over a read-only representative checked elsewhere: no check, no copy."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "rep", rep)
+        return u
 
     @property
     def n(self) -> int:
@@ -173,20 +178,19 @@ def projection_matrix(u: Subspace) -> np.ndarray:
     return u.rep @ u.rep.T
 
 
+def complements(reps: np.ndarray) -> np.ndarray:
+    """Orthogonal complements of an (..., n, k) stack: the trailing left singular
+    vectors of each representative, sign-fixed, as an (..., n, n - k) stack."""
+    n, k = reps.shape[-2:]
+    if k == n:
+        raise FullDimensionError(f"subspace fills R^{n}; its complement is the zero space")
+    left = np.linalg.svd(reps, full_matrices=True)[0]
+    return sign_fix_columns(left[..., k:])
+
+
 def complement(u: Subspace) -> Subspace:
-    """Orthogonal complement in Gr(n-k, n): the trailing left singular vectors."""
-    if u.k == u.n:
-        raise FullDimensionError(
-            f"subspace fills R^{u.n}; its complement is the zero space"
-        )
-    left = np.linalg.svd(u.rep, full_matrices=True)[0]
-    return Subspace(sign_fix_columns(left[:, u.k :]))
-
-
-def nonzero_angles(spectrum: np.ndarray, eps_angle: float) -> np.ndarray:
-    """Angles above the numerical-zero threshold, order preserved."""
-    spectrum = np.asarray(spectrum, dtype=float)
-    return spectrum[spectrum > eps_angle]
+    """Orthogonal complement in Gr(n-k, n)."""
+    return Subspace(complements(u.rep))
 
 
 def complement_duality_check(
@@ -194,16 +198,18 @@ def complement_duality_check(
 ) -> bool:
     """True iff the nonzero principal angles of (U, V) match those of (U-perp, V-perp).
 
-    Multisets are compared as sorted lists after filtering angles <= eps_angle;
-    a count mismatch is an immediate False.
+    Angles above eps_angle count as nonzero.  The c largest angles of each
+    side, c the larger nonzero count, must match within `tol` as sorted
+    lists: where the counts differ, an angle at or below eps_angle stands in
+    for one just above it on the other side.
     """
     check_tolerance(tol)
     check_eps_angle(eps_angle)
     require_same_grassmannian(u, v)
-    direct = nonzero_angles(principal_angles(u, v), eps_angle)
-    dual = nonzero_angles(principal_angles(complement(u), complement(v)), eps_angle)
-    if direct.size != dual.size:
+    direct = principal_angles(u, v)
+    dual = principal_angles(complement(u), complement(v))
+    count = max(int((direct > eps_angle).sum()), int((dual > eps_angle).sum()))
+    if count > min(direct.size, dual.size):
         return False
-    if direct.size == 0:
-        return True
-    return bool(np.max(np.abs(direct - dual)) <= tol)
+    gaps = np.abs(direct[direct.size - count :] - dual[dual.size - count :])
+    return bool(gaps.max(initial=0.0) <= tol)

@@ -56,7 +56,7 @@ import numpy as np
 
 from .constructions import SubspaceFamily
 from .errors import InvalidProblemError, RankDeficientError, UnknownMetricError
-from .grassmann import Subspace, sign_fix_columns
+from .grassmann import sign_fix_columns
 from .linalg import orthonormalize_stack
 from .metrics import Metric, get_metric, pair_distances
 
@@ -311,11 +311,8 @@ def solve(problem: PackingProblem) -> PackingResult:
     metric = problem.validated_metric()
     values, reps, iterations, histories, counts = _anneal(problem, metric)
     best = int(np.argmax(values) if problem.objective == "maximin" else np.argmin(values))
-    members = tuple(Subspace(sign_fix_columns(rep)) for rep in reps[best])
-    family = SubspaceFamily(
-        problem.k,
-        problem.n,
-        members,
+    family = SubspaceFamily.from_stack(
+        sign_fix_columns(reps[best]),
         provenance=f"annealed {problem.objective} packing under {metric.id}",
         metadata={
             "metric": metric.id,
@@ -349,11 +346,8 @@ def perturb(family: SubspaceFamily, scale: float, seed: int = 0) -> SubspaceFami
     )
     if not independent.all():
         raise RankDeficientError("perturbed members are numerically dependent")
-    members = tuple(Subspace(sign_fix_columns(rep)) for rep in reps)
-    return SubspaceFamily(
-        family.k,
-        family.n,
-        members,
+    return SubspaceFamily.from_stack(
+        sign_fix_columns(reps),
         provenance=f"perturb(scale={scale:g}) of [{family.provenance}]",
         metadata=dict(family.metadata),
     )

@@ -6,13 +6,14 @@ projectors from the normal equations, principal angles from recursive
 maximization over symmetric eigenproblems (not the package's SVDs), and the
 chordal distance from its trace form.  `anneal_reference` is the annealer
 that scores one move per restart at a time, the loop `packing._anneal`
-must reproduce bit for bit.
+must reproduce bit for bit, and `sign_fix_reference` the column-by-column
+sign fix that `grassmann.sign_fix_columns` must reproduce over whole stacks.
 """
 
 import numpy as np
 
 from grasspack.errors import RankDeficientError
-from grasspack.linalg import orthonormalize_stack
+from grasspack.linalg import EPS_ORTH, orthonormalize_stack
 from grasspack.metrics import pair_distances
 from grasspack.packing import MIN_SEPARATION, MOVE_BLOCK, STEP, TEMPERATURE, _schedule
 
@@ -49,6 +50,16 @@ def cofactor_det(a: np.ndarray) -> float:
         minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
         total += (-1.0) ** j * a[0, j] * cofactor_det(minor)
     return total
+
+
+def sign_fix_reference(q: np.ndarray) -> np.ndarray:
+    """One n x k matrix, each column flipped so its first entry above EPS_ORTH is positive."""
+    q = np.array(q, dtype=float)
+    for j in range(q.shape[1]):
+        nz = np.flatnonzero(np.abs(q[:, j]) > EPS_ORTH)
+        if nz.size and q[nz[0], j] < 0.0:
+            q[:, j] = -q[:, j]
+    return q
 
 
 def projector_normal_equations(a: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from grasspack import constructions
 from grasspack.constructions import (
     LineSet,
     SubspaceFamily,
@@ -20,13 +21,16 @@ from grasspack.constructions import (
 )
 from grasspack.errors import AngleZeroError, FamilyTooSmallError, NotEquiangularError
 from grasspack.grassmann import (
+    complement,
     principal_angles,
     projection_matrix,
     random_subspace,
     subspace_from_spanning,
 )
-from grasspack.linalg import determinant
+from grasspack.linalg import EPS_ORTH, determinant
 from grasspack.metrics import CHORDAL, FUBINI_STUDY, evaluate
+
+from _oracles import sign_fix_reference
 
 
 def pairwise_abs_dots(vectors):
@@ -282,6 +286,16 @@ def test_plucker_line_family_from_fs_equiangular_subfamily():
     assert image.common_cos == pytest.approx(np.cos(fs_values[0]), abs=1e-8)
 
 
+@pytest.mark.parametrize("entries", [1, 200, 131072])
+def test_plucker_line_family_equals_memberwise_embedding(monkeypatch, entries):
+    # members 0-3 of the Gr(3,9) lift differ only in the last slot: FS-equiangular
+    monkeypatch.setattr(constructions, "PAIR_CHUNK_ENTRIES", entries)
+    sub = SubspaceFamily(3, 9, lift_lines_to_subspaces(simplex_lines(3), 3).members[:4])
+    phis = np.array([plucker_embed(member) for member in sub])
+    phis /= np.linalg.norm(phis, axis=1)[:, None]
+    assert np.array_equal(plucker_line_family(sub).vectors, sign_fix_reference(phis.T).T)
+
+
 def test_plucker_line_family_rejects_non_equiangular():
     family = lift_lines_to_subspaces(simplex_lines(2), 2)
     with pytest.raises(NotEquiangularError):
@@ -328,3 +342,39 @@ def test_complement_family_maps_memberwise():
     for orig, dual in zip(family.members, comp.members):
         total = projection_matrix(orig) + projection_matrix(dual)
         np.testing.assert_allclose(total, np.eye(2), atol=1e-10)
+
+
+def _tilted_e0_family(n, count, rng):
+    # planes holding e_0 up to a 1e-11 tilt: every complement column leads
+    # with an entry of about 1e-11, below EPS_ORTH, so its sign pivot is a
+    # later entry
+    members = []
+    for _ in range(count):
+        first = np.eye(n)[:, 0] + 1e-11 * rng.standard_normal(n)
+        second = np.concatenate([[0.0], rng.standard_normal(n - 1)])
+        members.append(subspace_from_spanning(np.column_stack([first, second])))
+    return SubspaceFamily(2, n, members)
+
+
+@pytest.mark.parametrize("case", ["lift", "random", "pivot-edge"])
+def test_complement_family_equals_memberwise_complement(case):
+    rng = np.random.default_rng(151)
+    family = {
+        "lift": lambda: lift_lines_to_subspaces(simplex_lines(3), 3),
+        "random": lambda: SubspaceFamily(2, 5, [random_subspace(5, 2, rng) for _ in range(40)]),
+        "pivot-edge": lambda: _tilted_e0_family(6, 20, rng),
+    }[case]()
+    comp = complement_family(family)
+    assert (comp.k, comp.n) == (family.n - family.k, family.n)
+    assert np.array_equal(comp.reps, np.stack([complement(member).rep for member in family]))
+    # one SVD and one column-by-column sign fix per member
+    memberwise = [
+        sign_fix_reference(np.linalg.svd(rep, full_matrices=True)[0][:, family.k :])
+        for rep in family.reps
+    ]
+    assert np.array_equal(comp.reps, np.stack(memberwise))
+    if case == "lift":
+        assert (len(family), family.k, family.n) == (64, 3, 9)
+    if case == "pivot-edge":
+        lead = np.abs(comp.reps[:, 0, :])
+        assert (lead <= EPS_ORTH).all() and (lead > 0.0).any()

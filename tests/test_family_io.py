@@ -173,16 +173,56 @@ def test_non_numeric_member_rejected(tmp_path, member):
         load_lineset(path)
 
 
+PLANE = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+OTHER_PLANE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+RANK_ONE = [[1.0, 2.0], [0.0, 0.0], [2.0, 4.0]]
+
+
 def test_rank_deficient_member_rejected():
     doc = {
         "schema_version": "1",
         "kind": "subspaces",
         "n": 3,
         "k": 2,
-        "members": [[[1.0, 2.0], [0.0, 0.0], [2.0, 4.0]]],
+        "members": [PLANE, OTHER_PLANE, RANK_ONE],
         "metadata": {},
     }
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^member 2: columns are numerically dependent$"):
+        parse_family_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "members, message",
+    [
+        ([PLANE, OTHER_PLANE, [[1.0, 0.0], [0.0, 1.0]]], r"member 2: expected an 3x2 matrix, got shape \(2, 2\)"),
+        ([PLANE, [[1.0, 0.0], [0.0, float("nan")], [0.0, 0.0]]], "member 1 has non-finite entries"),
+        ([PLANE, [[1.0, 0.0], [0.0, 1.0], [0.0, float("inf")]], OTHER_PLANE], "member 1 has non-finite entries"),
+        ([PLANE, [[1.0, 0.0], [0.0, "1"], [0.0, 0.0]]], "member 1 is not numeric"),
+        # members are checked in order, whichever check a member fails
+        ([PLANE, RANK_ONE, [[1.0, 0.0]]], "member 1: columns are numerically dependent"),
+        ([PLANE, [[1.0, 0.0]], RANK_ONE], r"member 1: expected an 3x2 matrix, got shape \(1, 2\)"),
+        ([PLANE, OTHER_PLANE, [[1.0, 0.0], [0.0, 1.0], 0.0], RANK_ONE], "member 2 is not numeric"),
+    ],
+    ids=["shape", "nan", "inf", "string", "rank-before-shape", "shape-before-rank", "ragged"],
+)
+def test_malformed_member_named_by_index(members, message):
+    doc = {"schema_version": "1", "kind": "subspaces", "n": 3, "k": 2, "members": members, "metadata": {}}
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_family_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "members, message",
+    [
+        ([[0.6, 0.8], [1.0, 0.0], [1.0, 0.0, 0.0]], r"member 2: expected a length-2 vector, got shape \(3,\)"),
+        ([[0.6, 0.8], [float("-inf"), 0.0]], "member 1 has non-finite entries"),
+        ([[0.6, 0.8], [1.0, 0.0], [0.0, 0.0]], "member 2: columns are numerically dependent"),
+    ],
+    ids=["shape", "inf", "zero"],
+)
+def test_malformed_line_named_by_index(members, message):
+    doc = {"schema_version": "1", "kind": "lines", "n": 2, "k": 1, "members": members, "metadata": {}}
+    with pytest.raises(ParseError, match=f"^{message}$"):
         parse_family_doc(doc)
 
 

@@ -13,12 +13,13 @@ from grasspack.grassmann import (
     principal_angles,
     projection_matrix,
     random_subspace,
+    sign_fix_columns,
     spectra,
     subspace_from_spanning,
 )
-from grasspack.linalg import EPS_ANGLE, orthonormalize, symmetric_eigenvalues
+from grasspack.linalg import EPS_ANGLE, EPS_ORTH, orthonormalize, symmetric_eigenvalues
 
-from _oracles import principal_angles_recursive, projector_normal_equations
+from _oracles import principal_angles_recursive, projector_normal_equations, sign_fix_reference
 
 
 def span(*cols):
@@ -217,6 +218,18 @@ def test_complement_full_dimension_raises():
         complement(u)
 
 
+def test_sign_fix_over_a_stack_matches_each_column():
+    # entries at, just above and just below EPS_ORTH in either sign, exact
+    # zeros and all-tiny columns, so pivots fall on every row and on none
+    rng = np.random.default_rng(47)
+    scale = EPS_ORTH * np.array([0.0, 0.5, 1.0, np.nextafter(1.0, 2.0), 3.0, 1e9])
+    q = rng.choice(scale, size=(30, 4, 3)) * rng.choice([-1.0, 1.0], size=(30, 4, 3))
+    fixed = sign_fix_columns(q)
+    assert np.array_equal(fixed, np.stack([sign_fix_reference(m) for m in q]))
+    assert np.array_equal(fixed[7], sign_fix_columns(q[7]))
+    assert not np.array_equal(fixed, q)
+
+
 def test_duality_check_lines_in_plane():
     u = span(e(0, 2))
     v = span(np.array([1.0, 1.0]) / np.sqrt(2))
@@ -237,17 +250,19 @@ def test_duality_check_random_pairs():
         assert complement_duality_check(u, v)
 
 
-def test_duality_check_count_mismatch_is_false():
+def test_duality_check_angle_at_eps_angle_matches():
     # a single angle of exactly eps_angle: the lines compute it as eps_angle,
     # which counts as zero, and their complements one ulp above, which does
-    # not; so the nonzero counts differ and no tolerance makes the check pass
+    # not; the counts differ, but the two angles match within any tol above
+    # their 2.6e-23 gap
     t = EPS_ANGLE
     u = Subspace(e(0, 2)[:, None])
     v = Subspace(np.array([[np.cos(t)], [np.sin(t)]]))
-    direct = grassmann.nonzero_angles(principal_angles(u, v), EPS_ANGLE)
-    dual = grassmann.nonzero_angles(principal_angles(complement(u), complement(v)), EPS_ANGLE)
-    assert (direct.size, dual.size) == (0, 1)
-    assert not complement_duality_check(u, v, tol=1.0)
+    direct = principal_angles(u, v)
+    dual = principal_angles(complement(u), complement(v))
+    assert (direct > EPS_ANGLE).sum() == 0 and (dual > EPS_ANGLE).sum() == 1
+    assert complement_duality_check(u, v)
+    assert not complement_duality_check(u, v, tol=0.0)
 
 
 @pytest.mark.parametrize("bad", [{"tol": np.nan}, {"tol": -1.0}])
