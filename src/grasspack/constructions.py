@@ -101,7 +101,8 @@ class SubspaceFamily:
     `from_stack` builds a family from its stack; calling the class with
     (k, n, Subspace members) stacks them and runs the same checks: each
     member orthonormal within EPS_ORTH, no two members coincident.  Members
-    are read-only Subspace views of the stack, neither copied nor re-checked.
+    are read-only Subspace views of the stack, neither copied nor re-checked,
+    and no attribute of a family can be set.
     """
 
     def __init__(self, k: int, n: int, members, provenance: str = "", metadata: dict | None = None):
