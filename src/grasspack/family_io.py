@@ -2,14 +2,14 @@
 
 Files carry schema_version "1", a kind ("lines" or "subspaces"), the (n, k)
 shape, the members as row-major nested lists, and a free-form metadata map.
-Floats are emitted with 17 significant digits, so writing and re-reading a
-file reproduces every double bit-for-bit except -0.0: it is written as the
-JSON integer -0, which reads back as +0.0.
+Floats are emitted with 17 significant digits and -0.0 as ``-0.0``, so
+writing and re-reading a file reproduces every double bit-for-bit.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +25,12 @@ KIND_SUBSPACES = "subspaces"
 
 
 def format_float(x: float) -> str:
-    """17 significant digits: enough to round-trip any IEEE-754 double."""
-    if not np.isfinite(x):
+    """17 significant digits, enough to round-trip any IEEE-754 double; -0.0 as ``-0.0``."""
+    x = float(x)
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
-    return format(float(x), ".17g")
+    text = format(x, ".17g")
+    return "-0.0" if text == "-0" else text
 
 
 def dumps_json(value) -> str:
@@ -37,63 +39,37 @@ def dumps_json(value) -> str:
     Lists whose elements are all scalars stay on one line; containers nest
     with two-space indentation.  Key order is insertion order.
     """
-    parts: list[str] = []
-    _emit(value, parts, 0)
-    parts.append("\n")
-    return "".join(parts)
+    return _json_text(value, "") + "\n"
 
 
-def _emit(value, parts: list[str], depth: int) -> None:
-    pad = "  " * depth
-    inner = "  " * (depth + 1)
-    if isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        parts.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            parts.append(f"{inner}{json.dumps(key)}: ")
-            _emit(item, parts, depth + 1)
-            parts.append(",\n" if i < len(value) - 1 else "\n")
-        parts.append(pad + "}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        items = list(value.tolist()) if isinstance(value, np.ndarray) else list(value)
-        if not items:
-            parts.append("[]")
-            return
-        if all(_is_scalar(item) for item in items):
-            parts.append("[" + ", ".join(_atom(item) for item in items) + "]")
-            return
-        parts.append("[\n")
-        for i, item in enumerate(items):
-            parts.append(inner)
-            _emit(item, parts, depth + 1)
-            parts.append(",\n" if i < len(items) - 1 else "\n")
-        parts.append(pad + "]")
-    else:
-        parts.append(_atom(value))
-
-
-def _is_scalar(value) -> bool:
-    return value is None or isinstance(
-        value, (bool, int, float, str, np.integer, np.floating)
-    )
-
-
-def _atom(value) -> str:
-    if value is None:
-        return "null"
+def _json_text(value, pad: str) -> str:
+    """The JSON text of value, laid out for a position indented by pad."""
+    if isinstance(value, (float, np.floating)):
+        return format_float(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(float(value))
     if isinstance(value, str):
         return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
+    if value is None:
+        return "null"
+    inner = pad + "  "
+    if isinstance(value, dict):
+        brackets, items, one_line = "{}", [], not value
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            items.append(f"{json.dumps(key)}: {_json_text(item, inner)}")
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        value = value.tolist() if isinstance(value, np.ndarray) else value
+        brackets, items = "[]", [_json_text(item, inner) for item in value]
+        one_line = not any(isinstance(item, (dict, list, tuple, np.ndarray)) for item in value)
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
+    if one_line:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def _doc(kind: str, n: int, k: int, members: list, metadata: dict) -> dict:
@@ -114,7 +90,8 @@ def family_to_doc(family: SubspaceFamily, metadata: dict | None = None) -> dict:
     return _doc(KIND_SUBSPACES, family.n, family.k, family.reps.tolist(), meta)
 
 
-def _validate_doc(doc) -> dict:
+def _validate_doc(doc) -> tuple[str, int, int, list, dict]:
+    """The kind, n, k, members and metadata of a family doc (metadata may be absent)."""
     if not isinstance(doc, dict):
         raise ParseError("family file must contain a JSON object")
     version = doc.get("schema_version")
@@ -139,7 +116,7 @@ def _validate_doc(doc) -> dict:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError("metadata must be an object")
-    return doc
+    return kind, n, k, members, metadata
 
 
 def _member_matrix(entry, n: int, k: int, kind: str, index: int) -> np.ndarray:
@@ -167,19 +144,21 @@ def _member_matrix(entry, n: int, k: int, kind: str, index: int) -> np.ndarray:
 
 
 def parse_family_doc(doc) -> SubspaceFamily:
-    """Build a SubspaceFamily from a validated doc; lines load as Gr(1, n).
+    """Build a SubspaceFamily from a family doc; lines load as Gr(1, n).
 
     Representatives are re-orthonormalized on load (span-preserving; a no-op
     within roundoff for files this package wrote).  The first member that is
     malformed or rank-deficient fails the load, named by its index.
     """
-    doc = _validate_doc(doc)
-    n, k, entries = doc["n"], doc["k"], doc["members"]
+    return _parse_members(*_validate_doc(doc))
+
+
+def _parse_members(kind: str, n: int, k: int, entries: list, metadata: dict) -> SubspaceFamily:
     # a malformed member's error waits until the members before it pass the rank check
     reps, malformed = np.empty((len(entries), n, k)), None
     for index, entry in enumerate(entries):
         try:
-            reps[index] = _member_matrix(entry, n, k, doc["kind"], index)
+            reps[index] = _member_matrix(entry, n, k, kind, index)
         except ParseError as exc:
             reps, malformed = reps[:index], exc
             break
@@ -194,8 +173,8 @@ def parse_family_doc(doc) -> SubspaceFamily:
     try:
         return SubspaceFamily.from_stack(
             reps,
-            provenance=str(doc["metadata"].get("provenance", "")),
-            metadata=dict(doc["metadata"]),
+            provenance=str(metadata.get("provenance", "")),
+            metadata=dict(metadata),
         )
     except (GrasspackError, ValueError) as exc:
         raise ParseError(str(exc)) from None
@@ -204,13 +183,13 @@ def parse_family_doc(doc) -> SubspaceFamily:
 def parse_lineset_doc(doc) -> LineSet:
     """Build a LineSet from a doc of kind 'lines', checking equiangularity.
 
-    The members load through `parse_family_doc` as a Gr(1, n) family, so a
-    line file gets the same checks and normalization as any other.
+    The members load as a Gr(1, n) family, so a line file gets the same
+    checks and normalization as any other.
     """
-    doc = _validate_doc(doc)
-    if doc["kind"] != KIND_LINES:
-        raise ParseError(f"expected kind 'lines', got {doc['kind']!r}")
-    return LineSet.from_vectors(parse_family_doc(doc).reps[:, :, 0], tol=1e-8)
+    kind, *rest = _validate_doc(doc)
+    if kind != KIND_LINES:
+        raise ParseError(f"expected kind 'lines', got {kind!r}")
+    return LineSet.from_vectors(_parse_members(kind, *rest).reps[:, :, 0], tol=1e-8)
 
 
 def read_json(path):
@@ -223,16 +202,12 @@ def read_json(path):
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
 
 
-def load_doc(path) -> dict:
-    return _validate_doc(read_json(path))
-
-
 def load_family(path) -> SubspaceFamily:
-    return parse_family_doc(load_doc(path))
+    return parse_family_doc(read_json(path))
 
 
 def load_lineset(path) -> LineSet:
-    return parse_lineset_doc(load_doc(path))
+    return parse_lineset_doc(read_json(path))
 
 
 def save_lineset(path, lines: LineSet, metadata: dict | None = None) -> None:

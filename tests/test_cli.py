@@ -132,21 +132,7 @@ def test_construct_args_cover_every_kind():
     assert set(CONSTRUCT_ARGS) == set(CONSTRUCTIONS)
 
 
-@pytest.mark.parametrize(
-    "kind",
-    [
-        pytest.param(
-            kind,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="-0.0 is written as the JSON integer -0, which loads as +0.0",
-            ),
-        )
-        if kind in ("icosahedral-lines", "plucker")  # sign-fixed rows with zero entries
-        else kind
-        for kind in CONSTRUCT_ARGS
-    ],
-)
+@pytest.mark.parametrize("kind", CONSTRUCT_ARGS)
 def test_constructed_file_reloads_to_the_same_bytes(tmp_path, lines_file, lift_file, kind):
     out = tmp_path / "made.json"
     assert main(["construct", kind, *CONSTRUCT_ARGS[kind](lines_file, lift_file), "-o", str(out)]) == 0
@@ -154,9 +140,14 @@ def test_constructed_file_reloads_to_the_same_bytes(tmp_path, lines_file, lift_f
 
 
 def test_complement_and_pack_files_reload_to_the_same_bytes(tmp_path, lift_file):
-    comp = tmp_path / "complement.json"
-    assert main(["complement", str(lift_file), "-o", str(comp)]) == 0
-    assert _reloaded_bytes(comp) == comp.read_bytes()
+    lines3, lift3 = tmp_path / "lines3.json", tmp_path / "lift3.json"
+    assert main(["construct", "simplex-lines", "n=3", "-o", str(lines3)]) == 0
+    assert main(["construct", "lift", "k=2", f"in={lines3}", "-o", str(lift3)]) == 0
+    for lift in (lift_file, lift3):
+        comp = tmp_path / f"complement-{lift.stem}.json"
+        assert main(["complement", str(lift), "-o", str(comp)]) == 0
+        assert _reloaded_bytes(comp) == comp.read_bytes()
+    assert b"-0.0" in comp.read_bytes()  # the n = 3 complement's sign fix negates zeros
     problem = tmp_path / "problem.json"
     problem.write_text(
         json.dumps({"k": 2, "n": 4, "m": 4, "metric": "chordal", "seed": 1, "restarts": 2, "max_iters": 400})

@@ -16,6 +16,7 @@ from grasspack.family_io import (
     load_family,
     load_lineset,
     parse_family_doc,
+    parse_lineset_doc,
     save_family,
     save_lineset,
 )
@@ -35,7 +36,8 @@ def family():
 def test_format_float_round_trips_exactly():
     values = [0.1, 1.0 / 3.0, math.pi, 1e-300, 2.0**-52, -0.0, 123456.789]
     for x in values:
-        assert float(format_float(x)) == x
+        back = json.loads(format_float(x))
+        assert back == x and math.copysign(1.0, back) == math.copysign(1.0, x)
 
 
 def test_format_float_rejects_non_finite():
@@ -43,6 +45,46 @@ def test_format_float_rejects_non_finite():
         format_float(float("nan"))
     with pytest.raises(ValueError):
         format_float(float("inf"))
+
+
+# the writer's exact text, so files keep their bytes from one version to the next
+DUMPS_JSON_CASES = {
+    "empty-dict": ({}, "{}\n"),
+    "empty-list": ([], "[]\n"),
+    "nested-empties": (
+        {"a": {}, "b": [], "c": [[], {}, ()], "d": [[]]},
+        '{\n  "a": {},\n  "b": [],\n  "c": [\n    [],\n    {},\n    []\n  ],\n  "d": [\n    []\n  ]\n}\n',
+    ),
+    "containers": (
+        {"list": [1, 2.5, "x"], "tuple": (3, None), "array": np.array([[1.0, -2.5], [0.1, 3.0]])},
+        '{\n  "list": [1, 2.5, "x"],\n  "tuple": [3, null],\n'
+        '  "array": [\n    [1, -2.5],\n    [0.10000000000000001, 3]\n  ]\n}\n',
+    ),
+    "numpy-scalars": (
+        {"f": np.float64(0.1), "i": np.int64(-7), "b": np.bool_(False), "fi": [np.float64(1.5), np.int64(2)]},
+        '{\n  "f": 0.10000000000000001,\n  "i": -7,\n  "b": false,\n  "fi": [1.5, 2]\n}\n',
+    ),
+    "atoms": ([None, True, False, 'tab\there "q" \\ \u00e9\n'], '[null, true, false, "tab\\there \\"q\\" \\\\ \\u00e9\\n"]\n'),
+    "mixed-list": ([1, [2.0, 1e-300], "x", 2.0**-52], '[\n  1,\n  [2, 1e-300],\n  "x",\n  2.2204460492503131e-16\n]\n'),
+    "top-level-float": (np.float64(123456.789), "123456.789\n"),
+    "negative-zero": ([-0.0, 0.0, {"z": np.float64(-0.0)}], '[\n  -0.0,\n  0,\n  {\n    "z": -0.0\n  }\n]\n'),
+    "int-key": ({1: 2}, (TypeError, "^JSON object keys must be strings, got 1$")),
+    "nested-int-key": ({"a": {2: 1}}, (TypeError, "^JSON object keys must be strings, got 2$")),
+    "nan": ({"a": [float("nan")]}, (ValueError, "^cannot serialize non-finite value nan$")),
+    "inf": ([float("inf")], (ValueError, "^cannot serialize non-finite value inf$")),
+    "minus-inf": (-np.inf, (ValueError, "^cannot serialize non-finite value -inf$")),
+    "set": (set(), (TypeError, "^cannot serialize set to JSON$")),
+    "set-in-list": ([set()], (TypeError, "^cannot serialize set to JSON$")),
+}
+
+
+@pytest.mark.parametrize("value, expected", DUMPS_JSON_CASES.values(), ids=DUMPS_JSON_CASES)
+def test_dumps_json_text_is_pinned(value, expected):
+    if isinstance(expected, str):
+        assert dumps_json(value) == expected
+    else:
+        with pytest.raises(expected[0], match=expected[1]):
+            dumps_json(value)
 
 
 def test_dumps_json_is_valid_and_deterministic(family):
@@ -224,6 +266,19 @@ def test_malformed_line_named_by_index(members, message):
     doc = {"schema_version": "1", "kind": "lines", "n": 2, "k": 1, "members": members, "metadata": {}}
     with pytest.raises(ParseError, match=f"^{message}$"):
         parse_family_doc(doc)
+
+
+def test_lines_load_checks_kind_before_members():
+    doc = {"schema_version": "1", "kind": "subspaces", "n": 3, "k": 2, "members": [PLANE, RANK_ONE], "metadata": {}}
+    with pytest.raises(ParseError, match="^expected kind 'lines', got 'subspaces'$"):
+        parse_lineset_doc(doc)
+
+
+def test_metadata_may_be_absent(tmp_path):
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"schema_version": "1", "kind": "lines", "n": 2, "k": 1, "members": [[1, 0], [0, 1]]}))
+    assert load_family(path).metadata == {}
+    assert load_lineset(path).common_cos == 0.0
 
 
 def test_missing_file_raises_parse_error(tmp_path):
