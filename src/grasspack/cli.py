@@ -8,6 +8,7 @@ verdict false, 2 for usage, parse, or precondition errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -222,16 +223,11 @@ def cmd_certify(args) -> int:
 
 
 def _decaen_row(n: int):
-    # n = 3 * 2^(2t-1) - 1 for some t >= 1
-    if (n + 1) % 3 != 0:
-        return None
-    q = (n + 1) // 3
-    if q <= 0 or q & (q - 1) != 0:
-        return None
-    exponent = q.bit_length() - 1
-    if exponent % 2 == 0:
-        return None
-    return bound_decaen((exponent + 1) // 2)[1]
+    """de Caen's lower bound in R^n when n = 3 * 2^(2t-1) - 1 for some t >= 1, else None."""
+    for t in itertools.count(1):
+        size, lower = bound_decaen(t)
+        if size >= n:
+            return lower if size == n else None
 
 
 def cmd_bounds(args) -> int:
@@ -387,10 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GrasspackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (GrasspackError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

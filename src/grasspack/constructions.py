@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AngleZeroError, DimensionMismatchError, FamilyTooSmallError, NotEquiangularError
+from .errors import AngleZeroError, FamilyTooSmallError, NotEquiangularError
 from .grassmann import PAIR_CHUNK_ENTRIES, Subspace, complements, pair_chunks, sign_fix_columns
 from .linalg import EPS_ORTH, check_tolerance
 
@@ -93,42 +93,33 @@ class LineSet:
         return f"LineSet(size={self.size}, n={self.n}, common_cos={self.common_cos:.6g})"
 
 
+@dataclass(frozen=True, eq=False)
 class SubspaceFamily:
     """An ordered family of same-(k, n) subspaces, stored as one stack.
 
-    reps is the (m, n, k) read-only array of orthonormal representatives;
-    provenance and metadata are free-form and go to the family's file.
-    `from_stack` builds a family from its stack; calling the class with
-    (k, n, Subspace members) stacks them and runs the same checks: each
-    member orthonormal within EPS_ORTH, no two members coincident.  Members
-    are read-only Subspace views of the stack, neither copied nor re-checked,
-    and no attribute of a family can be set.
+    reps      (m, n, k) read-only array of orthonormal representatives
+    metadata  free-form map written to the family's file; its "provenance"
+              entry says how the family was made
+
+    Construction checks each member orthonormal within EPS_ORTH and no two
+    members coincident.  Members are read-only Subspace views of the stack,
+    neither copied nor re-checked.
     """
 
-    def __init__(self, k: int, n: int, members, provenance: str = "", metadata: dict | None = None):
-        reps = [member.rep for member in members]
-        if any(rep.shape != (n, k) for rep in reps):
-            raise DimensionMismatchError(f"family members must all lie in Gr({k},{n})")
-        self.__post_init__(np.array(reps).reshape(-1, n, k), provenance, metadata)
+    reps: np.ndarray
+    metadata: dict | None = None
 
-    @classmethod
-    def from_stack(cls, reps, provenance: str = "", metadata: dict | None = None) -> "SubspaceFamily":
-        """The family whose member i has the representative reps[i] of an (m, n, k) stack."""
-        family = cls.__new__(cls)
-        family.__post_init__(reps, provenance, metadata)
-        return family
-
-    def __post_init__(self, reps, provenance: str, metadata: dict | None) -> None:
-        # Both constructors' checks, named as the dataclass hook they replace so
-        # bench/ still times them; a k > n stack or a NaN fails orthonormality.
-        reps = np.array(reps, dtype=float)
-        _, n, k = reps.shape
+    def __post_init__(self) -> None:
+        # a k > n stack or a NaN fails orthonormality
+        reps = np.array(self.reps, dtype=float)
+        _, _, k = reps.shape
         err = np.abs(np.swapaxes(reps, -1, -2) @ reps - np.eye(k)).max(axis=(-2, -1))
         if not (err <= EPS_ORTH).all():
             i = np.argmin(err <= EPS_ORTH)
             raise ValueError(f"member {i}: representative is not orthonormal (residual {err[i]:.3e})")
         reps.setflags(write=False)
-        vars(self).update(reps=reps, provenance=provenance, metadata=dict(metadata or {}), n=n, k=k)
+        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "metadata", dict(self.metadata or {}))
         # Members i and j coincide when their projectors agree entrywise
         # within EPS_ORTH.  With C = U_i^T U_j and G = U^T U,
         # ||P_i - P_j||_F^2 = ||G_i||_F^2 + ||G_j||_F^2 - 2 ||C||_F^2, where
@@ -151,8 +142,17 @@ class SubspaceFamily:
             if hits.size:
                 raise ValueError(f"family members {i[hits[0]]} and {j[hits[0]]} coincide")
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot set {name!r}: a SubspaceFamily is immutable")
+    @property
+    def n(self) -> int:
+        return self.reps.shape[1]
+
+    @property
+    def k(self) -> int:
+        return self.reps.shape[2]
+
+    @property
+    def provenance(self) -> str:
+        return str(self.metadata.get("provenance", ""))
 
     @property
     def members(self) -> tuple[Subspace, ...]:
@@ -231,11 +231,9 @@ def lift_lines_to_subspaces(lines: LineSet, k: int) -> SubspaceFamily:
     reps = np.zeros((tuples.shape[1], k, n, k))
     slots = np.arange(k)
     reps[:, slots, :, slots] = lines.vectors[tuples]
-    return SubspaceFamily.from_stack(
-        reps.reshape(-1, k * n, k),
-        provenance=f"lift(k={k}) of {count} lines in R^{n}",
-        metadata={"construction": "lift", "k": k, "common_angle": lines.common_angle},
-    )
+    metadata = {"construction": "lift", "k": k, "common_angle": lines.common_angle}
+    metadata["provenance"] = f"lift(k={k}) of {count} lines in R^{n}"
+    return SubspaceFamily(reps.reshape(-1, k * n, k), metadata)
 
 
 def chordal_lift(family: SubspaceFamily) -> SubspaceFamily:
@@ -248,11 +246,9 @@ def chordal_lift(family: SubspaceFamily) -> SubspaceFamily:
     reps = np.zeros((m, n + 1, k + 1))
     reps[:, :n, :k] = family.reps
     reps[:, n, k] = 1.0
-    return SubspaceFamily.from_stack(
-        reps,
-        provenance=f"chordal_lift of [{family.provenance}]",
-        metadata=dict(family.metadata, construction="chordal_lift"),
-    )
+    provenance = f"chordal_lift of [{family.provenance}]"
+    metadata = dict(family.metadata, construction="chordal_lift", provenance=provenance)
+    return SubspaceFamily(reps, metadata)
 
 
 def plucker_embed(u: Subspace) -> np.ndarray:
@@ -287,8 +283,6 @@ def plucker_line_family(family: SubspaceFamily) -> LineSet:
 
 def complement_family(family: SubspaceFamily) -> SubspaceFamily:
     """Member-wise orthogonal complement: Gr(k, n) -> Gr(n-k, n)."""
-    return SubspaceFamily.from_stack(
-        complements(family.reps),
-        provenance=f"complement of [{family.provenance}]",
-        metadata=dict(family.metadata, construction="complement"),
-    )
+    provenance = f"complement of [{family.provenance}]"
+    metadata = dict(family.metadata, construction="complement", provenance=provenance)
+    return SubspaceFamily(complements(family.reps), metadata)

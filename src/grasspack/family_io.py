@@ -83,10 +83,7 @@ def lineset_to_doc(lines: LineSet, metadata: dict | None = None) -> dict:
 
 
 def family_to_doc(family: SubspaceFamily, metadata: dict | None = None) -> dict:
-    meta = dict(family.metadata)
-    if family.provenance:
-        meta.setdefault("provenance", family.provenance)
-    meta.update(metadata or {})
+    meta = {**family.metadata, **(metadata or {})}
     return _doc(KIND_SUBSPACES, family.n, family.k, family.reps.tolist(), meta)
 
 
@@ -171,11 +168,7 @@ def _parse_members(kind: str, n: int, k: int, entries: list, metadata: dict) -> 
     if malformed is not None:
         raise malformed
     try:
-        return SubspaceFamily.from_stack(
-            reps,
-            provenance=str(metadata.get("provenance", "")),
-            metadata=dict(metadata),
-        )
+        return SubspaceFamily(reps, metadata)
     except (GrasspackError, ValueError) as exc:
         raise ParseError(str(exc)) from None
 

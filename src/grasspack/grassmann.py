@@ -4,12 +4,13 @@ A subspace is held as an orthonormal n x k representative matrix.  Every
 angle computation goes through `spectra`, which takes whole stacks of
 representatives at once: the cosines are the singular values of the k x k
 cross-Grams U^T V, the sines those of the residuals V - U U^T V, and each
-angle is read from whichever of the two resolves it to full accuracy
-(Bjorck & Golub 1973; Knyazev & Argentati 2002).  `cross_residual` forms
-both stacks; the chordal distance reads the residuals' Frobenius norms from
-it without taking angles.  Family-wide checks visit the m(m-1)/2 member
-pairs through `pair_chunks`, a bounded chunk at a time, so no scan holds
-more than PAIR_CHUNK_ENTRIES entries per representative stack.
+angle is read as arctan2(sine, cosine), which keeps full accuracy from the
+smallest angles to pi/2 (Bjorck & Golub 1973; Knyazev & Argentati 2002).
+`cross_residual` forms both stacks; the chordal distance reads the
+residuals' Frobenius norms from it without taking angles.  Family-wide
+checks visit the m(m-1)/2 member pairs through `pair_chunks`, a bounded
+chunk at a time, so no scan holds more than PAIR_CHUNK_ENTRIES entries per
+representative stack.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .linalg import (
     orthonormalize,
 )
 
-_COS_PI_4 = np.sqrt(0.5)
 # Entries (pairs x n x k) of each representative stack a chunk of
 # `pair_chunks` holds: no row of the paper-scale lifts is split (a 1 331-member
 # Gr(3,30) lift's longest row holds 119 700), and a chunk's temporaries stay
@@ -151,11 +151,11 @@ def spectra(a, b) -> np.ndarray:
     """Principal angles in radians, ascending, of every pair in two stacks.
 
     `a` and `b` are (..., n, k) stacks of orthonormal representatives that
-    broadcast against each other; the result has shape (..., k).  Angles
-    below pi/4 are the arcsines of the singular values of B - A (A^T B),
-    which keep full relative accuracy down to the smallest angles; the rest
-    are the arccosines of the singular values of A^T B.  For lines (k = 1)
-    those singular values are |a^T b| and |b - a (a^T b)|, taken directly.
+    broadcast against each other; the result has shape (..., k).  Each
+    angle is arctan2(sine, cosine): the sines, the singular values of
+    B - A (A^T B), keep full relative accuracy at the smallest angles, and
+    the cosines, those of A^T B, resolve the angles near pi/2.  For lines
+    (k = 1) the two are |b - a (a^T b)| and |a^T b|, taken directly.
     """
     cross, residual = cross_residual(a, b)
     cos = cosines(cross)  # descending: angles ascending
@@ -163,8 +163,7 @@ def spectra(a, b) -> np.ndarray:
         sin = np.sqrt((residual * residual).sum(axis=-2))
     else:
         sin = np.linalg.svd(residual, compute_uv=False)[..., ::-1]
-    small = cos > _COS_PI_4
-    return np.where(small, np.arcsin(np.minimum(sin, 1.0)), np.arccos(np.minimum(cos, 1.0)))
+    return np.arctan2(sin, cos)
 
 
 def principal_angles(u: Subspace, v: Subspace) -> np.ndarray:

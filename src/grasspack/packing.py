@@ -311,13 +311,13 @@ def solve(problem: PackingProblem) -> PackingResult:
     metric = problem.validated_metric()
     values, reps, iterations, histories, counts = _anneal(problem, metric)
     best = int(np.argmax(values) if problem.objective == "maximin" else np.argmin(values))
-    family = SubspaceFamily.from_stack(
+    family = SubspaceFamily(
         sign_fix_columns(reps[best]),
-        provenance=f"annealed {problem.objective} packing under {metric.id}",
-        metadata={
+        {
             "metric": metric.id,
             "objective": problem.objective,
             "seed": problem.seed,
+            "provenance": f"annealed {problem.objective} packing under {metric.id}",
         },
     )
     return PackingResult(
@@ -346,8 +346,7 @@ def perturb(family: SubspaceFamily, scale: float, seed: int = 0) -> SubspaceFami
     )
     if not independent.all():
         raise RankDeficientError("perturbed members are numerically dependent")
-    return SubspaceFamily.from_stack(
+    return SubspaceFamily(
         sign_fix_columns(reps),
-        provenance=f"perturb(scale={scale:g}) of [{family.provenance}]",
-        metadata=dict(family.metadata),
+        dict(family.metadata, provenance=f"perturb(scale={scale:g}) of [{family.provenance}]"),
     )

@@ -14,8 +14,10 @@ from grasspack.family_io import (
     load_family,
     load_lineset,
     parse_family_doc,
+    save_family,
 )
 from grasspack.metrics import evaluate
+from grasspack.packing import perturb
 
 
 @pytest.fixture()
@@ -58,6 +60,24 @@ def test_construct_chordal_lift(tmp_path, lift_file):
     assert main(["construct", "chordal-lift", f"in={lift_file}", "-o", str(out)]) == 0
     family = load_family(out)
     assert (family.k, family.n) == (3, 5)
+
+
+def test_derived_files_name_their_whole_chain(tmp_path, lift_file):
+    chordal, comp, moved = (tmp_path / name for name in ("chordal.json", "comp.json", "moved.json"))
+    assert main(["construct", "chordal-lift", f"in={lift_file}", "-o", str(chordal)]) == 0
+    assert main(["complement", str(chordal), "-o", str(comp)]) == 0
+    save_family(moved, perturb(load_family(comp), 1e-3))
+    lifted = "lift(k=2) of 3 lines in R^2"
+    chordal_lifted = f"chordal_lift of [{lifted}]"
+    complemented = f"complement of [{chordal_lifted}]"
+    expected = {
+        lift_file: lifted,
+        chordal: chordal_lifted,
+        comp: complemented,
+        moved: f"perturb(scale=0.001) of [{complemented}]",
+    }
+    for path, provenance in expected.items():
+        assert json.loads(path.read_text())["metadata"]["provenance"] == provenance
 
 
 def test_construct_plucker(tmp_path):
@@ -186,10 +206,9 @@ def test_angles_planes_in_r3_share_a_line(tmp_path, capsys):
     # any two planes in R^3 intersect, so theta_1 = 0 is always reported
     rng = np.random.default_rng(8)
     from grasspack.constructions import SubspaceFamily
-    from grasspack.family_io import save_family
     from grasspack.grassmann import random_subspace
 
-    family = SubspaceFamily(2, 3, tuple(random_subspace(3, 2, rng) for _ in range(3)))
+    family = SubspaceFamily(np.stack([random_subspace(3, 2, rng).rep for _ in range(3)]))
     path = tmp_path / "planes3.json"
     save_family(path, family)
     for j in (1, 2):
@@ -416,10 +435,13 @@ def test_bounds_tables(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["bounds"]["lemmens-seidel"] == 1
 
-    # n = 5 comes from the t = 1 lower-bound family
+    # n = 5 and n = 23 come from the t = 1 and t = 2 lower-bound families
     assert main(["bounds", "1", "5", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["bounds"]["decaen-lower"] == 8
+    assert main(["bounds", "1", "23", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["bounds"]["decaen-lower"] == 128
 
     assert main(["bounds", "2", "5"]) == 0
     assert capsys.readouterr().out == (

@@ -20,6 +20,7 @@ from grasspack.constructions import (
     simplex_lines,
 )
 from grasspack.errors import AngleZeroError, FamilyTooSmallError, NotEquiangularError
+from grasspack.family_io import family_to_doc, parse_family_doc
 from grasspack.grassmann import (
     complement,
     principal_angles,
@@ -29,6 +30,7 @@ from grasspack.grassmann import (
 )
 from grasspack.linalg import EPS_ORTH, determinant
 from grasspack.metrics import CHORDAL, FUBINI_STUDY, evaluate
+from grasspack.packing import PackingProblem, perturb, solve
 
 from _oracles import sign_fix_reference
 
@@ -202,7 +204,7 @@ def test_chordal_lift_preserves_pairwise_distances():
 
 
 def test_chordal_lift_empty_family():
-    empty = SubspaceFamily(2, 4, ())
+    empty = SubspaceFamily(np.empty((0, 4, 2)))
     lifted = chordal_lift(empty)
     assert len(lifted) == 0
     assert (lifted.k, lifted.n) == (3, 5)
@@ -248,7 +250,7 @@ def test_plucker_cauchy_binet():
 def test_plucker_line_family_orthogonal_planes():
     u = subspace_from_spanning(np.eye(4)[:, :2])
     v = subspace_from_spanning(np.eye(4)[:, 2:])
-    lines = plucker_line_family(SubspaceFamily(2, 4, (u, v)))
+    lines = plucker_line_family(SubspaceFamily(np.stack([u.rep, v.rep])))
     assert lines.size == 2
     assert lines.n == 6
     assert lines.common_cos == pytest.approx(0.0, abs=1e-12)
@@ -256,7 +258,7 @@ def test_plucker_line_family_orthogonal_planes():
 
 def test_plucker_line_family_rejects_empty_family():
     with pytest.raises(FamilyTooSmallError, match="at least one family member"):
-        plucker_line_family(SubspaceFamily(2, 4, ()))
+        plucker_line_family(SubspaceFamily(np.empty((0, 4, 2))))
 
 
 def test_plucker_line_family_identity_on_lines():
@@ -273,7 +275,7 @@ def test_plucker_line_family_from_fs_equiangular_subfamily():
     family = lift_lines_to_subspaces(simplex_lines(2), 2)
     # exhaustive filter: members 0, 1, 2 share the first tuple slot, so each
     # pair differs in exactly one slot and the FS distance is the constant alpha
-    sub = SubspaceFamily(2, 4, tuple(family.members[:3]))
+    sub = SubspaceFamily(np.stack([m.rep for m in family.members[:3]]))
     fs_values = [
         evaluate(FUBINI_STUDY, sub[i], sub[j])
         for i in range(3)
@@ -290,7 +292,8 @@ def test_plucker_line_family_from_fs_equiangular_subfamily():
 def test_plucker_line_family_equals_memberwise_embedding(monkeypatch, entries):
     # members 0-3 of the Gr(3,9) lift differ only in the last slot: FS-equiangular
     monkeypatch.setattr(constructions, "PAIR_CHUNK_ENTRIES", entries)
-    sub = SubspaceFamily(3, 9, lift_lines_to_subspaces(simplex_lines(3), 3).members[:4])
+    lift = lift_lines_to_subspaces(simplex_lines(3), 3)
+    sub = SubspaceFamily(np.stack([m.rep for m in lift.members[:4]]))
     phis = np.array([plucker_embed(member) for member in sub])
     phis /= np.linalg.norm(phis, axis=1)[:, None]
     assert np.array_equal(plucker_line_family(sub).vectors, sign_fix_reference(phis.T).T)
@@ -306,18 +309,18 @@ def test_family_rejects_duplicates():
     rng = np.random.default_rng(137)
     u = random_subspace(4, 2, rng)
     with pytest.raises(ValueError):
-        SubspaceFamily(2, 4, (u, u))
+        SubspaceFamily(np.stack([u.rep, u.rep]))
     # no size limit on the scan: a copy of member 0 behind 256 others is caught
     many = tuple(random_subspace(6, 2, rng) for _ in range(256))
     with pytest.raises(ValueError, match="members 0 and 256 coincide"):
-        SubspaceFamily(2, 6, many + many[:1])
+        SubspaceFamily(np.stack([m.rep for m in many + many[:1]]))
     # three copies, all past the first pair chunks; (2, 699) comes first in (i, j) order
     members = [random_subspace(6, 2, rng) for _ in range(700)]
     members[650] = members[5]
     members[699] = members[2]
     members[698] = members[401]
     with pytest.raises(ValueError, match="members 2 and 699 coincide"):
-        SubspaceFamily(2, 6, tuple(members))
+        SubspaceFamily(np.stack([m.rep for m in members]))
 
 
 def test_family_reps_are_read_only():
@@ -327,12 +330,31 @@ def test_family_reps_are_read_only():
         family.reps[0] = 0.0
 
 
-def test_family_rejects_mixed_shapes():
-    rng = np.random.default_rng(139)
-    u = random_subspace(4, 2, rng)
-    v = random_subspace(5, 2, rng)
-    with pytest.raises(Exception):
-        SubspaceFamily(2, 4, (u, v))
+@pytest.mark.parametrize("name", ["reps", "metadata", "n", "k", "provenance", "extra"])
+def test_family_attributes_cannot_be_set(name):
+    family = lift_lines_to_subspaces(simplex_lines(2), 2)
+    with pytest.raises(AttributeError):
+        setattr(family, name, None)
+
+
+def test_every_producer_keeps_provenance_in_metadata():
+    lift = lift_lines_to_subspaces(simplex_lines(2), 2)
+    problem = PackingProblem(k=1, n=2, m=3, metric="thetaK", restarts=1, max_iters=50)
+    doc = family_to_doc(lift)
+    del doc["metadata"]["provenance"]
+    families = [
+        SubspaceFamily(lift.reps),
+        lift,
+        chordal_lift(lift),
+        complement_family(lift),
+        perturb(lift, 1e-3, seed=1),
+        solve(problem).family,
+        parse_family_doc(family_to_doc(complement_family(lift))),
+        parse_family_doc(doc),
+    ]
+    for family in families:
+        assert family.provenance == family.metadata.get("provenance", "")
+    assert [bool(family.provenance) for family in families] == [False] + [True] * 6 + [False]
 
 
 def test_complement_family_maps_memberwise():
@@ -353,7 +375,7 @@ def _tilted_e0_family(n, count, rng):
         first = np.eye(n)[:, 0] + 1e-11 * rng.standard_normal(n)
         second = np.concatenate([[0.0], rng.standard_normal(n - 1)])
         members.append(subspace_from_spanning(np.column_stack([first, second])))
-    return SubspaceFamily(2, n, members)
+    return SubspaceFamily(np.stack([m.rep for m in members]))
 
 
 @pytest.mark.parametrize("case", ["lift", "random", "pivot-edge"])
@@ -361,7 +383,9 @@ def test_complement_family_equals_memberwise_complement(case):
     rng = np.random.default_rng(151)
     family = {
         "lift": lambda: lift_lines_to_subspaces(simplex_lines(3), 3),
-        "random": lambda: SubspaceFamily(2, 5, [random_subspace(5, 2, rng) for _ in range(40)]),
+        "random": lambda: SubspaceFamily(
+            np.stack([random_subspace(5, 2, rng).rep for _ in range(40)])
+        ),
         "pivot-edge": lambda: _tilted_e0_family(6, 20, rng),
     }[case]()
     comp = complement_family(family)

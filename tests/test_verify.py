@@ -68,7 +68,7 @@ def test_check_equiangular_lift_theta_1_fails(lift9):
 
 
 def test_check_equiangular_family_too_small(simplex_family):
-    lonely = SubspaceFamily(1, 2, (simplex_family[0],))
+    lonely = SubspaceFamily(np.stack([simplex_family[0].rep]))
     with pytest.raises(FamilyTooSmallError):
         check_equiangular(lonely, THETA_K)
 
@@ -77,7 +77,7 @@ def test_check_equiangular_family_too_small(simplex_family):
 def multi_chunk_family():
     # 300 members, 44 850 pairs
     rng = np.random.default_rng(163)
-    return SubspaceFamily(2, 5, tuple(random_subspace(5, 2, rng) for _ in range(300)))
+    return SubspaceFamily(np.stack([random_subspace(5, 2, rng).rep for _ in range(300)]))
 
 
 # whole rows (299 chunks), and rows split into runs of at most 6 pairs (7 575 chunks)
@@ -115,7 +115,7 @@ def test_check_equiangular_streams_in_bounded_memory():
     rng = np.random.default_rng(167)
     vectors = rng.standard_normal((1500, 4))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    family = SubspaceFamily(1, 4, tuple(Subspace(v[:, None]) for v in vectors))
+    family = SubspaceFamily(np.stack([Subspace(v[:, None]).rep for v in vectors]))
     tracemalloc.start()
     try:
         report = check_equiangular(family, THETA_K)
@@ -146,7 +146,7 @@ def test_check_equiisoclinic_rotated_pair():
             ]
         )
     )
-    report = check_equiisoclinic(SubspaceFamily(2, 4, (u, v)))
+    report = check_equiisoclinic(SubspaceFamily(np.stack([u.rep, v.rep])))
     assert report.verdict
     assert report.lam == pytest.approx(np.cos(t) ** 2, abs=1e-12)
 
@@ -154,7 +154,7 @@ def test_check_equiisoclinic_rotated_pair():
 def test_check_equiisoclinic_orthogonal_planes():
     u = subspace_from_spanning(np.eye(4)[:, :2])
     v = subspace_from_spanning(np.eye(4)[:, 2:])
-    report = check_equiisoclinic(SubspaceFamily(2, 4, (u, v)))
+    report = check_equiisoclinic(SubspaceFamily(np.stack([u.rep, v.rep])))
     assert report.verdict
     assert report.lam == pytest.approx(0.0, abs=1e-12)
 
@@ -167,7 +167,7 @@ def test_check_equiisoclinic_lift_family_fails(lift9):
 def test_equiisoclinic_report_to_dict():
     u = subspace_from_spanning(np.eye(4)[:, :2])
     v = subspace_from_spanning(np.eye(4)[:, 2:])
-    report = check_equiisoclinic(SubspaceFamily(2, 4, (u, v)), tol=1e-6)
+    report = check_equiisoclinic(SubspaceFamily(np.stack([u.rep, v.rep])), tol=1e-6)
     assert report.to_dict() == {
         "lambda": 0.0,
         "pair_count": 1,
@@ -178,7 +178,7 @@ def test_equiisoclinic_report_to_dict():
 
 
 def test_check_equiisoclinic_family_too_small(simplex_family):
-    lonely = SubspaceFamily(1, 2, (simplex_family[0],))
+    lonely = SubspaceFamily(np.stack([simplex_family[0].rep]))
     with pytest.raises(FamilyTooSmallError):
         check_equiisoclinic(lonely)
 
@@ -208,7 +208,7 @@ def test_certificate_lift9(lift9):
 def test_certificate_single_member():
     rng = np.random.default_rng(149)
     member = random_subspace(4, 2, rng)
-    cert = polynomial_certificate(SubspaceFamily(2, 4, (member,)), np.pi / 3)
+    cert = polynomial_certificate(SubspaceFamily(np.stack([member.rep])), np.pi / 3)
     assert cert.verdict
     assert cert.eval_matrix.shape == (1, 1)
     assert cert.eval_matrix[0, 0] == pytest.approx(0.5625, abs=1e-10)
@@ -229,7 +229,7 @@ def test_certificate_reduces_rows_in_bounded_memory():
     rng = np.random.default_rng(173)
     vectors = rng.standard_normal((600, 4))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    family = SubspaceFamily(1, 4, tuple(Subspace(v[:, None]) for v in vectors))
+    family = SubspaceFamily(np.stack([Subspace(v[:, None]).rep for v in vectors]))
     tracemalloc.start()
     try:
         cert = polynomial_certificate(family, np.pi / 3)
@@ -375,9 +375,7 @@ def test_certificate_serialization_sizes(lift9):
 
 def test_duality_reduction_verdicts_and_values(lift9):
     rng = np.random.default_rng(151)
-    random_family = SubspaceFamily(
-        2, 5, tuple(random_subspace(5, 2, rng) for _ in range(4))
-    )
+    random_family = SubspaceFamily(np.stack([random_subspace(5, 2, rng).rep for _ in range(4)]))
     for family in (lift9, random_family):
         comp = complement_family(family)
         for metric in (THETA_F, THETA_K, CHORDAL, FUBINI_STUDY):
