@@ -1,98 +1,68 @@
 """Principal angles, equiangular subspace families, and packing bounds on
 real Grassmannians."""
 
-from .constructions import (
-    LineSet,
-    SubspaceFamily,
-    chordal_lift,
-    complement_family,
-    icosahedral_lines,
-    lift_lines_to_subspaces,
-    orthonormal_lines,
-    plucker_embed,
-    plucker_line_family,
-    simplex_lines,
-)
-from .grassmann import (
-    Subspace,
-    complement,
-    complement_duality_check,
-    principal_angles,
-    projection_matrix,
-    random_subspace,
-    subspace_from_spanning,
-)
-from .linalg import (
-    EPS_ANGLE,
-    determinant,
-    orthonormalize,
-    singular_values,
-    symmetric_eigenvalues,
-)
-from .metrics import METRICS, Metric, evaluate, get_metric
-from .packing import PackingProblem, PackingResult, perturb, solve
-from .verify import (
-    Certificate,
-    EquiangularReport,
-    EquiisoclinicReport,
-    bound_blokhuis,
-    bound_chordal,
-    bound_decaen,
-    bound_fubini_study,
-    bound_gerzon,
-    bound_lemmens_seidel,
-    bound_angle_distance,
-    polynomial_certificate,
-    check_equiangular,
-    check_equiisoclinic,
-    size_chrss,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Certificate",
-    "EPS_ANGLE",
-    "EquiangularReport",
-    "EquiisoclinicReport",
-    "LineSet",
-    "METRICS",
-    "Metric",
-    "PackingProblem",
-    "PackingResult",
-    "Subspace",
-    "SubspaceFamily",
-    "bound_blokhuis",
-    "bound_chordal",
-    "bound_decaen",
-    "bound_fubini_study",
-    "bound_gerzon",
-    "bound_lemmens_seidel",
-    "bound_angle_distance",
-    "polynomial_certificate",
-    "check_equiangular",
-    "check_equiisoclinic",
-    "chordal_lift",
-    "complement",
-    "complement_duality_check",
-    "complement_family",
-    "determinant",
-    "evaluate",
-    "get_metric",
-    "icosahedral_lines",
-    "lift_lines_to_subspaces",
-    "orthonormal_lines",
-    "orthonormalize",
-    "perturb",
-    "plucker_embed",
-    "plucker_line_family",
-    "principal_angles",
-    "projection_matrix",
-    "random_subspace",
-    "simplex_lines",
-    "singular_values",
-    "size_chrss",
-    "solve",
-    "subspace_from_spanning",
-    "symmetric_eigenvalues",
-]
+# Every public name and the module that defines it.  A name's module is
+# imported when the name is first read (PEP 562), so `import grasspack`, and
+# with it the CLI's start, loads no numpy.
+_EXPORTS = {
+    "Certificate": "verify",
+    "EPS_ANGLE": "linalg",
+    "EquiangularReport": "verify",
+    "EquiisoclinicReport": "verify",
+    "LineSet": "constructions",
+    "METRICS": "registry",
+    "Metric": "registry",
+    "PackingProblem": "packing",
+    "PackingResult": "packing",
+    "Subspace": "grassmann",
+    "SubspaceFamily": "constructions",
+    "bound_blokhuis": "bounds",
+    "bound_chordal": "bounds",
+    "bound_decaen": "bounds",
+    "bound_fubini_study": "bounds",
+    "bound_gerzon": "bounds",
+    "bound_lemmens_seidel": "bounds",
+    "bound_angle_distance": "bounds",
+    "polynomial_certificate": "verify",
+    "check_equiangular": "verify",
+    "check_equiisoclinic": "verify",
+    "chordal_lift": "constructions",
+    "complement": "grassmann",
+    "complement_duality_check": "grassmann",
+    "complement_family": "constructions",
+    "determinant": "linalg",
+    "evaluate": "metrics",
+    "get_metric": "registry",
+    "icosahedral_lines": "constructions",
+    "lift_lines_to_subspaces": "constructions",
+    "orthonormal_lines": "constructions",
+    "orthonormalize": "linalg",
+    "perturb": "packing",
+    "plucker_embed": "constructions",
+    "plucker_line_family": "constructions",
+    "principal_angles": "grassmann",
+    "projection_matrix": "grassmann",
+    "random_subspace": "grassmann",
+    "simplex_lines": "constructions",
+    "singular_values": "linalg",
+    "size_chrss": "bounds",
+    "solve": "packing",
+    "subspace_from_spanning": "grassmann",
+    "symmetric_eigenvalues": "linalg",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -3,6 +3,10 @@ certificates, bound tables, packing runs, and complements over FamilyFile JSON.
 
 Exit codes are a scripting contract: 0 for success / verdict true, 1 for
 verdict false, 2 for usage, parse, or precondition errors.
+
+Only the stdlib and the numpy-free `bounds`, `errors` and `registry` load at
+start; each command imports the numerical modules it calls, so `bounds`,
+`lines-catalog`, `--help` and usage errors run without numpy.
 """
 
 from __future__ import annotations
@@ -13,44 +17,17 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .constructions import (
-    LineSet,
-    chordal_lift,
-    complement_family,
-    icosahedral_lines,
-    lift_lines_to_subspaces,
-    orthonormal_lines,
-    plucker_line_family,
-    simplex_lines,
-)
-from .errors import BadParamsError, GrasspackError, IndexOutOfRangeError
-from .family_io import (
-    dumps_json,
-    family_to_doc,
-    format_float,
-    load_family,
-    load_lineset,
-    read_json,
-    save_family,
-    save_lineset,
-)
-from .grassmann import principal_angles
-from .linalg import EPS_ANGLE, check_eps_angle
-from .metrics import METRICS, evaluate, get_metric
-from .packing import PackingProblem, solve
-from .verify import (
+from .bounds import (
+    bound_angle_distance,
     bound_blokhuis,
     bound_chordal,
     bound_decaen,
     bound_fubini_study,
     bound_gerzon,
     bound_lemmens_seidel,
-    bound_angle_distance,
-    polynomial_certificate,
-    check_equiangular,
 )
+from .errors import BadParamsError, GrasspackError, IndexOutOfRangeError
+from .registry import METRICS, get_metric
 
 LINE_CATALOG = (
     {
@@ -76,11 +53,15 @@ LINE_CATALOG = (
 
 def _tolerances(args) -> float:
     """The eps_angle that --tol sets (EPS_ANGLE when absent)."""
+    from .linalg import EPS_ANGLE, check_eps_angle
+
     return EPS_ANGLE if args.tol is None else check_eps_angle(args.tol)
 
 
 def _print_doc(doc: dict, args) -> None:
     if args.format == "json":
+        from .family_io import dumps_json
+
         sys.stdout.write(dumps_json(doc))
 
 
@@ -117,6 +98,11 @@ def _require(params: dict, *names: str) -> None:
 
 
 def cmd_angles(args) -> int:
+    import numpy as np
+
+    from .family_io import load_family
+    from .grassmann import principal_angles
+
     family = load_family(args.file)
     u, v = _member_pair(family, args.i, args.j)
     spectrum = principal_angles(u, v)
@@ -137,6 +123,9 @@ def cmd_angles(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    from .family_io import load_family
+    from .metrics import evaluate
+
     eps_angle = _tolerances(args)
     metric = get_metric(args.metric)
     family = load_family(args.file)
@@ -150,6 +139,9 @@ def cmd_distance(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .family_io import load_family
+    from .verify import check_equiangular
+
     eps_angle = _tolerances(args)
     metric = get_metric(args.metric)
     family = load_family(args.file)
@@ -166,7 +158,42 @@ def cmd_verify(args) -> int:
     return 0 if report.verdict else 1
 
 
+def _simplex_lines(params: dict):
+    from .constructions import simplex_lines
+
+    return simplex_lines(params["n"]), params
+
+
+def _icosahedral_lines(params: dict):
+    from .constructions import icosahedral_lines
+
+    return icosahedral_lines(), params
+
+
+def _orthonormal_lines(params: dict):
+    from .constructions import orthonormal_lines
+
+    return orthonormal_lines(params["n"]), params
+
+
+def _lift(params: dict):
+    from .constructions import lift_lines_to_subspaces
+    from .family_io import load_lineset
+
+    return lift_lines_to_subspaces(load_lineset(params["in"]), params["k"]), {}
+
+
+def _chordal_lift(params: dict):
+    from .constructions import chordal_lift
+    from .family_io import load_family
+
+    return chordal_lift(load_family(params["in"])), {}
+
+
 def _plucker(params: dict):
+    from .constructions import plucker_line_family
+    from .family_io import load_family
+
     family = load_family(params["in"])
     return plucker_line_family(family), {"source_k": family.k, "source_n": family.n}
 
@@ -175,19 +202,19 @@ def _plucker(params: dict):
 # from the parsed parameters to the LineSet or SubspaceFamily it writes and
 # the metadata a line file records beside its construction)
 CONSTRUCTIONS = {
-    "simplex-lines": ({"n": int}, lambda p: (simplex_lines(p["n"]), p)),
-    "icosahedral-lines": ({}, lambda p: (icosahedral_lines(), p)),
-    "orthonormal-lines": ({"n": int}, lambda p: (orthonormal_lines(p["n"]), p)),
-    "lift": (
-        {"k": int, "in": str},
-        lambda p: (lift_lines_to_subspaces(load_lineset(p["in"]), p["k"]), {}),
-    ),
-    "chordal-lift": ({"in": str}, lambda p: (chordal_lift(load_family(p["in"])), {})),
+    "simplex-lines": ({"n": int}, _simplex_lines),
+    "icosahedral-lines": ({}, _icosahedral_lines),
+    "orthonormal-lines": ({"n": int}, _orthonormal_lines),
+    "lift": ({"k": int, "in": str}, _lift),
+    "chordal-lift": ({"in": str}, _chordal_lift),
     "plucker": ({"in": str}, _plucker),
 }
 
 
 def cmd_construct(args) -> int:
+    from .constructions import LineSet
+    from .family_io import save_family, save_lineset
+
     types, build = CONSTRUCTIONS[args.kind]
     params = _parse_params(args.params, types)
     _require(params, *types)
@@ -204,6 +231,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .family_io import load_family
+    from .verify import polynomial_certificate
+
     eps_angle = _tolerances(args)
     family = load_family(args.file)
     cert = polynomial_certificate(family, args.alpha, tol=args.tolerance, eps_angle=eps_angle)
@@ -256,6 +286,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_pack(args) -> int:
+    from .family_io import dumps_json, family_to_doc, format_float, read_json
+    from .packing import PackingProblem, solve
+
     doc = read_json(args.problem)
     problem = PackingProblem.from_dict(doc)
     result = solve(problem)
@@ -282,6 +315,9 @@ def cmd_pack(args) -> int:
 
 
 def cmd_complement(args) -> int:
+    from .constructions import complement_family
+    from .family_io import load_family, save_family
+
     family = load_family(args.file)
     comp = complement_family(family)
     save_family(Path(args.out), comp)

@@ -247,7 +247,7 @@ def chordal_lift(family: SubspaceFamily) -> SubspaceFamily:
     reps[:, :n, :k] = family.reps
     reps[:, n, k] = 1.0
     provenance = f"chordal_lift of [{family.provenance}]"
-    metadata = dict(family.metadata, construction="chordal_lift", provenance=provenance)
+    metadata = dict(_derived(family), construction="chordal_lift", provenance=provenance)
     return SubspaceFamily(reps, metadata)
 
 
@@ -284,5 +284,10 @@ def plucker_line_family(family: SubspaceFamily) -> LineSet:
 def complement_family(family: SubspaceFamily) -> SubspaceFamily:
     """Member-wise orthogonal complement: Gr(k, n) -> Gr(n-k, n)."""
     provenance = f"complement of [{family.provenance}]"
-    metadata = dict(family.metadata, construction="complement", provenance=provenance)
+    metadata = dict(_derived(family), construction="complement", provenance=provenance)
     return SubspaceFamily(complements(family.reps), metadata)
+
+
+def _derived(family: SubspaceFamily) -> dict:
+    """The source's metadata without its "k": a derived family's k is the file's own."""
+    return {key: value for key, value in family.metadata.items() if key != "k"}

@@ -1,4 +1,4 @@
-"""The distance zoo over principal-angle spectra, as a uniform registry.
+"""The distance zoo over principal-angle spectra, for the metrics of `registry`.
 
 Angle distances (theta_1, theta_F, theta_k) return one of the principal
 angles; chordal, geodesic and Fubini-Study are derived functions of the
@@ -15,48 +15,11 @@ hold a spectrum and as the reference the tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import UnknownMetricError
 from .grassmann import Subspace, cosines, cross_residual, require_same_grassmannian, spectra
 from .linalg import CLAMP_SLACK, EPS_ANGLE, check_eps_angle, clamp_unit_interval
-
-
-@dataclass(frozen=True)
-class Metric:
-    """Registry entry: identifier plus the classification flags."""
-
-    id: str
-    cli_name: str
-    is_angle_distance: bool
-    is_proper: bool
-
-
-THETA_1 = Metric("theta_1", "theta1", is_angle_distance=True, is_proper=False)
-THETA_F = Metric("theta_F", "thetaF", is_angle_distance=True, is_proper=True)
-THETA_K = Metric("theta_k", "thetaK", is_angle_distance=True, is_proper=True)
-CHORDAL = Metric("chordal", "chordal", is_angle_distance=False, is_proper=True)
-GEODESIC = Metric("geodesic", "geodesic", is_angle_distance=False, is_proper=True)
-FUBINI_STUDY = Metric(
-    "fubini_study", "fubini-study", is_angle_distance=False, is_proper=True
-)
-
-METRICS: dict[str, Metric] = {
-    m.id: m for m in (THETA_1, THETA_F, THETA_K, CHORDAL, GEODESIC, FUBINI_STUDY)
-}
-
-
-def get_metric(name) -> Metric:
-    """Look a metric up by id ("theta_F") or CLI name ("thetaF")."""
-    if isinstance(name, Metric):
-        return name
-    for metric in METRICS.values():
-        if name in (metric.id, metric.cli_name):
-            return metric
-    known = ", ".join(m.cli_name for m in METRICS.values())
-    raise UnknownMetricError(f"unknown metric {name!r}; known: {known}")
+from .registry import FUBINI_STUDY, get_metric
 
 
 def theta_1(spectrum):

@@ -58,7 +58,8 @@ from .constructions import SubspaceFamily
 from .errors import InvalidProblemError, RankDeficientError, UnknownMetricError
 from .grassmann import sign_fix_columns
 from .linalg import orthonormalize_stack
-from .metrics import Metric, get_metric, pair_distances
+from .metrics import pair_distances
+from .registry import Metric, get_metric
 
 OBJECTIVES = ("maximin", "equiangular_variance")
 
@@ -346,7 +347,8 @@ def perturb(family: SubspaceFamily, scale: float, seed: int = 0) -> SubspaceFami
     )
     if not independent.all():
         raise RankDeficientError("perturbed members are numerically dependent")
-    return SubspaceFamily(
-        sign_fix_columns(reps),
-        dict(family.metadata, provenance=f"perturb(scale={scale:g}) of [{family.provenance}]"),
-    )
+    # the perturbed members no longer share the source's common angle
+    metadata = {key: value for key, value in family.metadata.items() if key != "common_angle"}
+    metadata["construction"] = "perturb"
+    metadata["provenance"] = f"perturb(scale={scale:g}) of [{family.provenance}]"
+    return SubspaceFamily(sign_fix_columns(reps), metadata)

@@ -1,5 +1,6 @@
-"""Equiangularity and equi-isoclinicity checkers, the determinant certificate,
-and the bound formulas (all exact integer arithmetic)."""
+"""Equiangularity and equi-isoclinicity checkers and the determinant certificate.
+
+The size bounds, in exact integer arithmetic, are in `bounds`."""
 
 from __future__ import annotations
 
@@ -8,11 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import bound_angle_distance
 from .constructions import SubspaceFamily
-from .errors import AlphaZeroError, FamilyTooSmallError, NotOddPrimeError
+from .errors import AlphaZeroError, FamilyTooSmallError
 from .grassmann import pair_chunks
 from .linalg import EPS_ANGLE, check_eps_angle, check_tolerance
-from .metrics import get_metric, pair_distances
+from .metrics import pair_distances
+from .registry import get_metric
 
 # A certificate of at most this many members keeps its evaluation matrix.
 EVAL_MATRIX_MAX = 50
@@ -233,78 +236,3 @@ def polynomial_certificate(
         tolerance=scaled,
         verdict=verdict,
     )
-
-
-def bound_gerzon(n: int) -> int:
-    """C(n+1, 2): max number of equiangular lines in R^n."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return math.comb(n + 1, 2)
-
-
-def bound_decaen(t: int) -> tuple[int, int]:
-    """(n, lower bound) with n = 3*2^(2t-1) - 1 and 2(n+1)^2/9 equiangular lines."""
-    if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
-    n = 3 * 2 ** (2 * t - 1) - 1
-    lower, rem = divmod(2 * (n + 1) ** 2, 9)
-    assert rem == 0  # (n+1)^2 = 9 * 4^(2t-1) by construction
-    return n, lower
-
-
-def bound_angle_distance(k: int, n: int) -> int:
-    """C(C(n+1,2)+k-1, k): dimension of degree-k forms in the symmetric-matrix variables."""
-    _require_grassmann_params(k, n)
-    return math.comb(math.comb(n + 1, 2) + k - 1, k)
-
-
-def bound_blokhuis(n: int) -> int:
-    """C(2n+3, 4): the earlier bound for theta_1-equiangular planes."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return math.comb(2 * n + 3, 4)
-
-
-def bound_chordal(n: int) -> int:
-    """C(n+1, 2): simplex bound from the sphere embedding of projectors."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return math.comb(n + 1, 2)
-
-
-def bound_fubini_study(k: int, n: int) -> int:
-    """C(C(n,k)+1, 2): line bound applied in the exterior power."""
-    _require_grassmann_params(k, n)
-    return math.comb(math.comb(n, k) + 1, 2)
-
-
-def bound_lemmens_seidel(k: int, n: int) -> int:
-    """C(n+1,2) - C(k+1,2) + 1: bound on equi-isoclinic subspace families."""
-    _require_grassmann_params(k, n)
-    return math.comb(n + 1, 2) - math.comb(k + 1, 2) + 1
-
-
-def size_chrss(p: int) -> tuple[int, int, int]:
-    """(dimension, ambient, family size) = ((p-1)/2, p, C(p+1,2)) for odd prime p.
-
-    Size formula only; the underlying Hadamard construction is out of scope.
-    """
-    if p < 3 or p % 2 == 0 or not _is_prime(p):
-        raise NotOddPrimeError(f"need an odd prime, got {p}")
-    return (p - 1) // 2, p, math.comb(p + 1, 2)
-
-
-def _require_grassmann_params(k: int, n: int) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-
-
-def _is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            return False
-        d += 1
-    return True

@@ -10,6 +10,16 @@ import time
 import numpy as np
 import pytest
 
+from grasspack.bounds import (
+    bound_angle_distance,
+    bound_blokhuis,
+    bound_chordal,
+    bound_decaen,
+    bound_fubini_study,
+    bound_gerzon,
+    bound_lemmens_seidel,
+    size_chrss,
+)
 from grasspack.cli import main
 from grasspack.constructions import (
     icosahedral_lines,
@@ -24,27 +34,12 @@ from grasspack.grassmann import (
     random_subspace,
 )
 from grasspack.linalg import EPS_ANGLE, determinant, symmetric_eigenvalues
-from grasspack.metrics import (
-    CHORDAL,
-    FUBINI_STUDY,
-    THETA_1,
-    THETA_F,
-    THETA_K,
-    evaluate,
-    fubini_study_from_spectrum,
-)
+from grasspack.metrics import evaluate, fubini_study_from_spectrum
 from grasspack.packing import PackingProblem, solve
+from grasspack.registry import CHORDAL, FUBINI_STUDY, THETA_1, THETA_F, THETA_K
 from grasspack.verify import (
-    bound_blokhuis,
-    bound_chordal,
-    bound_decaen,
-    bound_fubini_study,
-    bound_gerzon,
-    bound_lemmens_seidel,
-    bound_angle_distance,
     polynomial_certificate,
     check_equiangular,
-    size_chrss,
 )
 
 from _oracles import chordal_trace_form, principal_angles_recursive

@@ -416,6 +416,15 @@ def test_tol_rejected_where_unused(tmp_path, lift_file, args, capsys):
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
+
+def test_distance_help_lists_every_metric(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(["distance", "--help"])
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "one of: theta1, thetaF, thetaK, chordal, geodesic, fubini-study" in text
+
 def test_bounds_tables(capsys):
     assert main(["bounds", "1", "7", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -478,6 +487,21 @@ def test_complement_round_trip(tmp_path, lines_file, capsys):
     for a, b in zip(original.members, recovered.members):
         assert np.max(np.abs(projection_matrix(a) - projection_matrix(b))) <= 1e-10
 
+
+
+def test_complement_file_metadata(tmp_path):
+    lines, lift, comp = (tmp_path / name for name in ("lines.json", "lift.json", "comp.json"))
+    assert main(["construct", "simplex-lines", "n=3", "-o", str(lines)]) == 0
+    assert main(["construct", "lift", "k=2", f"in={lines}", "-o", str(lift)]) == 0
+    assert main(["complement", str(lift), "-o", str(comp)]) == 0
+    doc = json.loads(comp.read_text())
+    assert (doc["k"], doc["n"]) == (4, 6)
+    # the lift's "k": 2 would contradict the file's own k
+    assert doc["metadata"] == {
+        "construction": "complement",
+        "common_angle": pytest.approx(math.acos(1 / 3), abs=1e-12),
+        "provenance": "complement of [lift(k=2) of 4 lines in R^3]",
+    }
 
 def test_complement_lines_in_r3_gives_planes(tmp_path):
     src = tmp_path / "lines3.json"

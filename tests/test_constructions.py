@@ -29,8 +29,9 @@ from grasspack.grassmann import (
     subspace_from_spanning,
 )
 from grasspack.linalg import EPS_ORTH, determinant
-from grasspack.metrics import CHORDAL, FUBINI_STUDY, evaluate
+from grasspack.metrics import evaluate
 from grasspack.packing import PackingProblem, perturb, solve
+from grasspack.registry import CHORDAL, FUBINI_STUDY
 
 from _oracles import sign_fix_reference
 
@@ -356,6 +357,35 @@ def test_every_producer_keeps_provenance_in_metadata():
         assert family.provenance == family.metadata.get("provenance", "")
     assert [bool(family.provenance) for family in families] == [False] + [True] * 6 + [False]
 
+
+
+def test_derived_families_drop_source_facts_that_no_longer_hold():
+    lift = lift_lines_to_subspaces(simplex_lines(3), 2)  # 16 members in Gr(2, 6)
+    angle = lift.metadata["common_angle"]
+    provenance = "lift(k=2) of 4 lines in R^3"
+    assert lift.metadata == {
+        "construction": "lift", "k": 2, "common_angle": angle, "provenance": provenance
+    }
+    # complements and chordal lifts keep the nonzero angles but not k
+    comp = complement_family(lift)
+    assert comp.k == 4
+    assert comp.metadata == {
+        "construction": "complement",
+        "common_angle": angle,
+        "provenance": f"complement of [{provenance}]",
+    }
+    lifted = chordal_lift(lift)
+    assert lifted.k == 3
+    assert lifted.metadata == {
+        "construction": "chordal_lift",
+        "common_angle": angle,
+        "provenance": f"chordal_lift of [{provenance}]",
+    }
+    # a perturbation keeps k but not the common angle
+    moved = perturb(lift, 1e-3, seed=1)
+    assert moved.metadata == {
+        "construction": "perturb", "k": 2, "provenance": f"perturb(scale=0.001) of [{provenance}]"
+    }
 
 def test_complement_family_maps_memberwise():
     family = lift_lines_to_subspaces(simplex_lines(2), 1)

@@ -14,6 +14,18 @@ from grasspack.grassmann import (
 )
 from grasspack.linalg import orthonormalize
 from grasspack.metrics import (
+    chordal,
+    evaluate,
+    fubini_study,
+    fubini_study_from_spectrum,
+    from_spectrum,
+    geodesic,
+    pair_distances,
+    theta_1,
+    theta_F,
+    theta_k,
+)
+from grasspack.registry import (
     CHORDAL,
     FUBINI_STUDY,
     GEODESIC,
@@ -21,17 +33,7 @@ from grasspack.metrics import (
     THETA_1,
     THETA_F,
     THETA_K,
-    chordal,
-    evaluate,
-    fubini_study,
-    fubini_study_from_spectrum,
-    from_spectrum,
-    geodesic,
     get_metric,
-    pair_distances,
-    theta_1,
-    theta_F,
-    theta_k,
 )
 
 from _oracles import chordal_trace_form

@@ -11,8 +11,9 @@ from grasspack.constructions import lift_lines_to_subspaces, simplex_lines
 from grasspack.errors import InvalidProblemError
 from grasspack.family_io import family_to_doc
 from grasspack.grassmann import projection_matrix, spectra
-from grasspack.metrics import CHORDAL, METRICS, evaluate, from_spectrum, get_metric, pair_distances
+from grasspack.metrics import evaluate, from_spectrum, pair_distances
 from grasspack.packing import OBJECTIVES, PackingProblem, PackingResult, perturb, solve
+from grasspack.registry import CHORDAL, METRICS, get_metric
 
 from _oracles import anneal_reference
 

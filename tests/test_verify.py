@@ -20,20 +20,23 @@ from grasspack.errors import (
     NotOddPrimeError,
 )
 from grasspack import grassmann
-from grasspack.grassmann import Subspace, random_subspace, subspace_from_spanning
-from grasspack.metrics import CHORDAL, FUBINI_STUDY, METRICS, THETA_1, THETA_F, THETA_K, pair_distances
-from grasspack.verify import (
+from grasspack.bounds import (
+    bound_angle_distance,
     bound_blokhuis,
     bound_chordal,
     bound_decaen,
     bound_fubini_study,
     bound_gerzon,
     bound_lemmens_seidel,
-    bound_angle_distance,
+    size_chrss,
+)
+from grasspack.grassmann import Subspace, random_subspace, subspace_from_spanning
+from grasspack.metrics import pair_distances
+from grasspack.registry import CHORDAL, FUBINI_STUDY, METRICS, THETA_1, THETA_F, THETA_K
+from grasspack.verify import (
     polynomial_certificate,
     check_equiangular,
     check_equiisoclinic,
-    size_chrss,
 )
 
 
