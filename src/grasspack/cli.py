@@ -58,11 +58,10 @@ def _tolerances(args) -> float:
     return EPS_ANGLE if args.tol is None else check_eps_angle(args.tol)
 
 
-def _print_doc(doc: dict, args) -> None:
-    if args.format == "json":
-        from .family_io import dumps_json
+def _print_json(doc: dict) -> None:
+    from .family_io import dumps_json
 
-        sys.stdout.write(dumps_json(doc))
+    sys.stdout.write(dumps_json(doc))
 
 
 def _member_pair(family, i: int, j: int):
@@ -84,6 +83,8 @@ def _parse_params(tokens: list[str], allowed: dict[str, type]) -> dict:
             raise BadParamsError(
                 f"unknown parameter {key!r}; allowed: {sorted(allowed)}"
             )
+        if key in params:
+            raise BadParamsError(f"parameter {key!r} given more than once")
         try:
             params[key] = allowed[key](raw)
         except ValueError:
@@ -107,14 +108,13 @@ def cmd_angles(args) -> int:
     u, v = _member_pair(family, args.i, args.j)
     spectrum = principal_angles(u, v)
     if args.format == "json":
-        _print_doc(
+        _print_json(
             {
                 "i": args.i,
                 "j": args.j,
                 "angles_rad": spectrum.tolist(),
                 "angles_deg": np.degrees(spectrum).tolist(),
-            },
-            args,
+            }
         )
     else:
         for idx, angle in enumerate(spectrum, start=1):
@@ -132,7 +132,7 @@ def cmd_distance(args) -> int:
     u, v = _member_pair(family, args.i, args.j)
     value = evaluate(metric, u, v, eps_angle)
     if args.format == "json":
-        _print_doc({"metric": metric.id, "i": args.i, "j": args.j, "value": value}, args)
+        _print_json({"metric": metric.id, "i": args.i, "j": args.j, "value": value})
     else:
         print(f"{metric.cli_name}({args.i}, {args.j}) = {value:.12g}")
     return 0
@@ -147,7 +147,7 @@ def cmd_verify(args) -> int:
     family = load_family(args.file)
     report = check_equiangular(family, metric, tol=args.tolerance, eps_angle=eps_angle)
     if args.format == "json":
-        _print_doc(report.to_dict(), args)
+        _print_json(report.to_dict())
     else:
         print(f"metric:         {metric.cli_name}")
         print(f"pairs:          {report.pair_count}")
@@ -238,7 +238,7 @@ def cmd_certify(args) -> int:
     family = load_family(args.file)
     cert = polynomial_certificate(family, args.alpha, tol=args.tolerance, eps_angle=eps_angle)
     if args.format == "json":
-        _print_doc(cert.to_dict(), args)
+        _print_json(cert.to_dict())
     else:
         print(f"members:             {cert.m}")
         print(f"alpha:               {cert.alpha:.12g} rad")
@@ -277,7 +277,7 @@ def cmd_bounds(args) -> int:
     if decaen is not None:
         rows.append(("decaen-lower", decaen))
     if args.format == "json":
-        _print_doc({"k": k, "n": n, "bounds": dict(rows)}, args)
+        _print_json({"k": k, "n": n, "bounds": dict(rows)})
     else:
         width = max(len(name) for name, _ in rows)
         for name, value in rows:
@@ -286,7 +286,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    from .family_io import dumps_json, family_to_doc, format_float, read_json
+    from .family_io import SCHEMA_VERSION, dumps_json, family_to_doc, format_float, read_json
     from .packing import PackingProblem, solve
 
     doc = read_json(args.problem)
@@ -294,7 +294,7 @@ def cmd_pack(args) -> int:
     result = solve(problem)
     out = Path(args.out) if args.out else Path(args.problem).with_suffix(".result.json")
     result_doc = {
-        "schema_version": "1",
+        "schema_version": SCHEMA_VERSION,
         "kind": "packing_result",
         "problem": problem.to_dict(),
         "objective_value": result.objective_value,
@@ -327,7 +327,7 @@ def cmd_complement(args) -> int:
 
 def cmd_lines_catalog(args) -> int:
     if args.format == "json":
-        _print_doc({"catalog": list(LINE_CATALOG)}, args)
+        _print_json({"catalog": list(LINE_CATALOG)})
     else:
         for entry in LINE_CATALOG:
             print(
@@ -338,6 +338,7 @@ def cmd_lines_catalog(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # only the commands whose output has a JSON form offer --format
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("construct", parents=[common], help="generate a family file")
+    p = sub.add_parser("construct", help="generate a family file")
     p.add_argument("kind", choices=tuple(CONSTRUCTIONS))
     p.add_argument("params", nargs="*", help="key=value parameters, e.g. n=3 k=2 in=f.json")
     p.add_argument("-o", "--out", required=True)
@@ -397,13 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("pack", parents=[common], help="run the annealing packer")
+    p = sub.add_parser("pack", help="run the annealing packer")
     p.add_argument("problem", help="packing problem JSON file")
     p.add_argument("-o", "--out", default=None, help="result file (default: <problem>.result.json)")
     p.add_argument("--history", default=None, help="also write the history as CSV")
     p.set_defaults(func=cmd_pack)
 
-    p = sub.add_parser("complement", parents=[common], help="member-wise orthogonal complement")
+    p = sub.add_parser("complement", help="member-wise orthogonal complement")
     p.add_argument("file")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_complement)

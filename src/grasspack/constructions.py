@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import AngleZeroError, FamilyTooSmallError, NotEquiangularError
 from .grassmann import PAIR_CHUNK_ENTRIES, Subspace, complements, pair_chunks, sign_fix_columns
-from .linalg import EPS_ORTH, check_tolerance
+from .linalg import EPS_ORTH, check_tolerance, orthonormality_residuals
 
 
 # ||U_i^T U_j||_F^2 >= k (1 - _COINCIDENT_SLACK) marks a pair of family
@@ -32,49 +32,38 @@ def _projectors(reps: np.ndarray) -> np.ndarray:
 class LineSet:
     """N lines through the origin of R^n sharing one pairwise angle.
 
-    vectors     (N, n) array, one unit vector per line
-    common_cos  the shared |<u, v>| over distinct pairs, in [0, 1)
+    vectors     (N, n) read-only array, one unit vector per line
+    common_cos  the shared |<u, v>| over distinct pairs, in [0, 1) (0 for one line)
 
-    `from_vectors` measures common_cos and checks the set is equiangular
-    within the caller's tolerance; the constructor itself checks shapes,
-    norms and the range of common_cos, and trusts the pairing of the two.
+    `LineSet(vectors, tol=1e-9)` measures common_cos and raises
+    NotEquiangularError when a pair's |<u, v>| deviates from it by more than
+    tol, which the set does not keep.  Unit norm is the family rule for
+    k = 1, |<u, u> - 1| <= EPS_ORTH, so every line set lifts.
     """
 
     vectors: np.ndarray
-    common_cos: float
+    common_cos: float = field(init=False)
+    tol: InitVar[float] = 1e-9
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, tol: float) -> None:
+        check_tolerance(tol)
         vectors = np.array(self.vectors, dtype=float)
         if vectors.ndim != 2 or vectors.shape[0] < 1 or vectors.shape[1] < 1:
             raise ValueError(f"expected an (N, n) vector array, got {vectors.shape}")
-        if not np.all(np.isfinite(vectors)):
-            raise ValueError("line vectors must be finite")
-        norms = np.linalg.norm(vectors, axis=1)
-        if float(np.max(np.abs(norms - 1.0))) > EPS_ORTH:
+        if not (orthonormality_residuals(vectors[:, :, None]) <= EPS_ORTH).all():
             raise ValueError("line vectors must have unit norm")
-        if not 0.0 <= self.common_cos < 1.0:
-            raise ValueError(f"common_cos must lie in [0, 1), got {self.common_cos}")
-        vectors.setflags(write=False)
-        object.__setattr__(self, "vectors", vectors)
-
-    @classmethod
-    def from_vectors(cls, vectors, tol: float = 1e-9) -> "LineSet":
-        """Build a LineSet from unit vectors, checking equiangularity within `tol`."""
-        check_tolerance(tol)
-        vectors = np.array(vectors, dtype=float)
-        if vectors.ndim != 2:
-            raise ValueError("expected an (N, n) array of vectors")
-        count = vectors.shape[0]
-        if count < 2:
-            return cls(vectors, 0.0)
-        pairs = np.abs(vectors @ vectors.T)[np.triu_indices(count, 1)]
-        common = float(np.mean(pairs))
-        dev = float(np.max(np.abs(pairs - common)))
+        pairs = np.abs(vectors @ vectors.T)[np.triu_indices(vectors.shape[0], 1)]
+        common = float(pairs.mean()) if pairs.size else 0.0
+        dev = float(np.max(np.abs(pairs - common), initial=0.0))
         if dev > tol:
             raise NotEquiangularError(
                 f"line set is not equiangular: |<u,v>| spread {dev:.3e} exceeds {tol:.1e}"
             )
-        return cls(vectors, common)
+        if not common < 1.0:
+            raise ValueError(f"common_cos must lie in [0, 1), got {common}")
+        vectors.setflags(write=False)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "common_cos", common)
 
     @property
     def size(self) -> int:
@@ -102,8 +91,8 @@ class SubspaceFamily:
               entry says how the family was made
 
     Construction checks each member orthonormal within EPS_ORTH and no two
-    members coincident.  Members are read-only Subspace views of the stack,
-    neither copied nor re-checked.
+    members coincident.  `family[i]`, a slice and iteration build each member
+    they give as a Subspace of its own read-only copy of reps[i].
     """
 
     reps: np.ndarray
@@ -113,7 +102,7 @@ class SubspaceFamily:
         # a k > n stack or a NaN fails orthonormality
         reps = np.array(self.reps, dtype=float)
         _, _, k = reps.shape
-        err = np.abs(np.swapaxes(reps, -1, -2) @ reps - np.eye(k)).max(axis=(-2, -1))
+        err = orthonormality_residuals(reps)
         if not (err <= EPS_ORTH).all():
             i = np.argmin(err <= EPS_ORTH)
             raise ValueError(f"member {i}: representative is not orthonormal (residual {err[i]:.3e})")
@@ -162,10 +151,12 @@ class SubspaceFamily:
         return self.reps.shape[0]
 
     def __iter__(self):
-        return map(Subspace.view, self.reps)
+        return map(Subspace, self.reps)
 
     def __getitem__(self, idx):
-        return self.members[idx] if isinstance(idx, slice) else Subspace.view(self.reps[idx])
+        if isinstance(idx, slice):
+            return tuple(map(Subspace, self.reps[idx]))
+        return Subspace(self.reps[idx])
 
     def __repr__(self) -> str:
         return f"SubspaceFamily(m={len(self)}, k={self.k}, n={self.n})"
@@ -186,7 +177,7 @@ def simplex_lines(n: int) -> LineSet:
     coords = centered @ complements(ones)
     coords /= np.linalg.norm(coords, axis=1, keepdims=True)
     # keep the true vertex vectors: the signed inner products are exactly -1/n
-    return LineSet.from_vectors(coords, tol=1e-11)
+    return LineSet(coords, tol=1e-11)
 
 
 def icosahedral_lines() -> LineSet:
@@ -203,14 +194,14 @@ def icosahedral_lines() -> LineSet:
         ]
     )
     vectors = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    return LineSet.from_vectors(sign_fix_columns(vectors.T).T, tol=1e-11)
+    return LineSet(sign_fix_columns(vectors.T).T, tol=1e-11)
 
 
 def orthonormal_lines(n: int) -> LineSet:
     """The n coordinate axes: the degenerate common angle pi/2 catalog entry."""
     if n < 1:
         raise ValueError(f"orthonormal_lines needs n >= 1, got {n}")
-    return LineSet.from_vectors(np.eye(n))
+    return LineSet(np.eye(n))
 
 
 def lift_lines_to_subspaces(lines: LineSet, k: int) -> SubspaceFamily:
@@ -278,7 +269,7 @@ def plucker_line_family(family: SubspaceFamily) -> LineSet:
         phis[lo : lo + step] = np.linalg.det(family.reps[lo : lo + step, rows])
     norms = np.linalg.norm(phis, axis=1)
     phis /= norms[:, None]
-    return LineSet.from_vectors(sign_fix_columns(phis.T).T, tol=1e-8)
+    return LineSet(sign_fix_columns(phis.T).T, tol=1e-8)
 
 
 def complement_family(family: SubspaceFamily) -> SubspaceFamily:

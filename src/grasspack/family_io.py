@@ -11,12 +11,15 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .constructions import LineSet, SubspaceFamily
 from .errors import GrasspackError, ParseError
-from .linalg import EPS_ORTH, orthonormalize_stack
+
+# numpy and the numerical modules load in the parse functions: writing JSON needs none
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .constructions import LineSet, SubspaceFamily
 
 SCHEMA_VERSION = "1"
 
@@ -44,11 +47,13 @@ def dumps_json(value) -> str:
 
 def _json_text(value, pad: str) -> str:
     """The JSON text of value, laid out for a position indented by pad."""
-    if isinstance(value, (float, np.floating)):
+    # numpy arrays and scalars as the Python lists and scalars they hold
+    value = value.tolist() if hasattr(value, "tolist") else value
+    if isinstance(value, float):
         return format_float(value)
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
     if isinstance(value, str):
         return json.dumps(value)
@@ -61,10 +66,9 @@ def _json_text(value, pad: str) -> str:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             items.append(f"{json.dumps(key)}: {_json_text(item, inner)}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        value = value.tolist() if isinstance(value, np.ndarray) else value
+    elif isinstance(value, (list, tuple)):
         brackets, items = "[]", [_json_text(item, inner) for item in value]
-        one_line = not any(isinstance(item, (dict, list, tuple, np.ndarray)) for item in value)
+        one_line = not any(text[0] in "[{" for text in items)  # no item is a container
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
     if one_line:
@@ -117,6 +121,8 @@ def _validate_doc(doc) -> tuple[str, int, int, list, dict]:
 
 
 def _member_matrix(entry, n: int, k: int, kind: str, index: int) -> np.ndarray:
+    import numpy as np
+
     try:
         arr = np.asarray(entry, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -151,6 +157,11 @@ def parse_family_doc(doc) -> SubspaceFamily:
 
 
 def _parse_members(kind: str, n: int, k: int, entries: list, metadata: dict) -> SubspaceFamily:
+    import numpy as np
+
+    from .constructions import SubspaceFamily
+    from .linalg import EPS_ORTH, orthonormality_residuals, orthonormalize_stack
+
     # a malformed member's error waits until the members before it pass the rank check
     reps, malformed = np.empty((len(entries), n, k)), None
     for index, entry in enumerate(entries):
@@ -159,8 +170,8 @@ def _parse_members(kind: str, n: int, k: int, entries: list, metadata: dict) -> 
         except ParseError as exc:
             reps, malformed = reps[:index], exc
             break
-    residual = np.abs(np.swapaxes(reps, -1, -2) @ reps - np.eye(k)).max(axis=(-2, -1))
-    sloppy = np.flatnonzero(residual > EPS_ORTH)  # sloppy hand-written spans get cleaned
+    # sloppy hand-written spans get cleaned
+    sloppy = np.flatnonzero(orthonormality_residuals(reps) > EPS_ORTH)
     reps[sloppy], independent = orthonormalize_stack(reps[sloppy])
     if not independent.all():
         index = sloppy[np.argmin(independent)]
@@ -179,10 +190,12 @@ def parse_lineset_doc(doc) -> LineSet:
     The members load as a Gr(1, n) family, so a line file gets the same
     checks and normalization as any other.
     """
+    from .constructions import LineSet
+
     kind, *rest = _validate_doc(doc)
     if kind != KIND_LINES:
         raise ParseError(f"expected kind 'lines', got {kind!r}")
-    return LineSet.from_vectors(_parse_members(kind, *rest).reps[:, :, 0], tol=1e-8)
+    return LineSet(_parse_members(kind, *rest).reps[:, :, 0], tol=1e-8)
 
 
 def read_json(path):

@@ -27,6 +27,7 @@ from .linalg import (
     as_matrix,
     check_eps_angle,
     check_tolerance,
+    orthonormality_residuals,
     orthonormalize,
 )
 
@@ -56,20 +57,13 @@ class Subspace:
         n, k = rep.shape
         if k > n:
             raise ValueError(f"subspace dimension {k} exceeds ambient dimension {n}")
-        residual = float(np.max(np.abs(rep.T @ rep - np.eye(k))))
+        residual = float(orthonormality_residuals(rep))
         if residual > EPS_ORTH:
             raise ValueError(
                 f"representative is not orthonormal (residual {residual:.3e})"
             )
         rep.setflags(write=False)
         object.__setattr__(self, "rep", rep)
-
-    @classmethod
-    def view(cls, rep: np.ndarray) -> "Subspace":
-        """A Subspace over a read-only representative checked elsewhere: no check, no copy."""
-        u = object.__new__(cls)
-        object.__setattr__(u, "rep", rep)
-        return u
 
     @property
     def n(self) -> int:

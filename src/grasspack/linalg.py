@@ -55,6 +55,12 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def orthonormality_residuals(reps) -> np.ndarray:
+    """max |U^T U - I| per member of an (..., n, k) stack; NaN or inf entries fail <= EPS_ORTH."""
+    reps = np.asarray(reps, dtype=float)
+    return np.abs(np.swapaxes(reps, -1, -2) @ reps - np.eye(reps.shape[-1])).max(axis=(-2, -1))
+
+
 def clamp_unit_interval(x):
     """Clamp to [0, 1] elementwise; excursions beyond CLAMP_SLACK are hard errors."""
     x = np.asarray(x, dtype=float)

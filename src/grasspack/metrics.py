@@ -19,7 +19,7 @@ import numpy as np
 
 from .grassmann import Subspace, cosines, cross_residual, require_same_grassmannian, spectra
 from .linalg import CLAMP_SLACK, EPS_ANGLE, check_eps_angle, clamp_unit_interval
-from .registry import FUBINI_STUDY, get_metric
+from .registry import get_metric
 
 
 def theta_1(spectrum):
@@ -51,12 +51,6 @@ def chordal(spectrum):
 def geodesic(spectrum):
     """sqrt(sum of theta_i^2): Riemannian distance on the Grassmannian."""
     return np.sqrt((np.asarray(spectrum, dtype=float) ** 2).sum(axis=-1))
-
-
-def fubini_study(u: Subspace, v: Subspace) -> float:
-    """arccos|det(U^T V)|, computed in determinant form (no angle extraction)."""
-    require_same_grassmannian(u, v)
-    return pair_distances(FUBINI_STUDY, u.rep, v.rep)
 
 
 def fubini_study_from_spectrum(spectrum):

@@ -186,6 +186,13 @@ def test_construct_bad_params_exit_2(tmp_path):
     assert main(["construct", "simplex-lines", "n=2", "m=1", "-o", str(out)]) == 2
 
 
+def test_construct_repeated_param_exit_2(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["construct", "simplex-lines", "n=3", "n=5", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: parameter 'n' given more than once\n"
+    assert not out.exists()
+
+
 def test_angles_orthogonal_lines(tmp_path, capsys):
     ortho = tmp_path / "ortho.json"
     main(["construct", "orthonormal-lines", "n=2", "-o", str(ortho)])
@@ -414,6 +421,24 @@ def test_tol_rejected_where_unused(tmp_path, lift_file, args, capsys):
         main([arg.format(tmp=tmp_path, lift=lift_file) for arg in args] + ["--tol", "1e-8"])
     assert info.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["construct", "simplex-lines", "n=3", "-o", "{tmp}/lines.json"],
+        ["pack", "{tmp}/problem.json", "-o", "{tmp}/result.json"],
+        ["complement", "{lift}", "-o", "{tmp}/comp.json"],
+    ],
+)
+def test_format_rejected_where_nothing_reads_it(tmp_path, lift_file, args, capsys):
+    # these commands write a file and print one summary line, which has no JSON form
+    (tmp_path / "problem.json").write_text(json.dumps({"k": 1, "n": 2, "m": 3, "metric": "thetaK"}))
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(tmp=tmp_path, lift=lift_file) for arg in args] + ["--format", "json"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["lift.json", "lines.json", "problem.json"]
 
 
 

@@ -87,31 +87,84 @@ def test_orthonormal_lines():
 
 
 def test_lineset_rejects_non_equiangular():
-    vectors = np.array([[1.0, 0.0], [0.0, 1.0], [np.cos(0.3), np.sin(0.3)]])
-    with pytest.raises(NotEquiangularError):
-        LineSet.from_vectors(vectors)
+    for third in ([np.cos(0.3), np.sin(0.3)], [0.6, 0.8]):
+        with pytest.raises(NotEquiangularError):
+            LineSet(np.array([[1.0, 0.0], [0.0, 1.0], third]))
 
 
 def test_lineset_tolerance_is_the_callers():
     # |cos| of 0.5 +/- 1e-7: a spread of about 1.7e-7, inside 1e-6 but not 1e-8
     angles = np.array([0.0, np.pi / 3 + 2e-7, 2 * np.pi / 3])
     vectors = np.column_stack([np.cos(angles), np.sin(angles)])
-    lines = LineSet.from_vectors(vectors, tol=1e-6)
+    lines = LineSet(vectors, tol=1e-6)
     assert lines.common_cos == pytest.approx(0.5, abs=1e-6)
     with pytest.raises(NotEquiangularError, match="spread 1.7"):
-        LineSet.from_vectors(vectors, tol=1e-8)
+        LineSet(vectors, tol=1e-8)
     spread = np.array([[1.0, 0.0], [0.0, 1.0], [np.cos(0.3), np.sin(0.3)]])
     for bad in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
-            LineSet.from_vectors(spread, tol=bad)
+            LineSet(spread, tol=bad)
 
 
 def test_lift_rejects_vanishing_angle():
     t = 1e-5  # cos(t) is within the lift's 1e-9 floor of a zero angle
     vectors = np.array([[1.0, 0.0], [np.cos(t), np.sin(t)]])
-    lines = LineSet.from_vectors(vectors)
+    lines = LineSet(vectors)
     with pytest.raises(AngleZeroError):
         lift_lines_to_subspaces(lines, 2)
+
+
+def test_lineset_measures_its_common_cos():
+    # no caller-supplied cosine: the 4 simplex lines in R^3 keep arccos(1/3)
+    with pytest.raises(TypeError):
+        LineSet(simplex_lines(3).vectors, common_cos=0.9)
+    lines = LineSet(simplex_lines(3).vectors)
+    assert lines.common_cos == pytest.approx(1.0 / 3.0, abs=1e-12)
+    lift = lift_lines_to_subspaces(lines, 2)
+    assert lift.metadata["common_angle"] == pytest.approx(math.acos(1.0 / 3.0), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "scale, accepted",
+    [(1 - 8e-11, False), (1 - 4e-11, True), (1 + 4e-11, True), (1 + 8e-11, False)],
+)
+def test_lineset_unit_rule_is_the_family_rule_for_k_1(scale, accepted):
+    # |<u, u> - 1| <= EPS_ORTH: scaling by 1 +/- 8e-11 moves <u, u> by about 1.6e-10
+    vectors = simplex_lines(3).vectors * scale
+    if accepted:
+        assert lift_lines_to_subspaces(LineSet(vectors), 2).k == 2
+    else:
+        with pytest.raises(ValueError, match="unit norm"):
+            LineSet(vectors)
+
+
+def test_every_accepted_lineset_lifts():
+    for scale in np.linspace(1 - 1e-10, 1 + 1e-10, 81):
+        try:
+            lines = LineSet(simplex_lines(3).vectors * scale)
+        except ValueError:
+            continue
+        assert len(lift_lines_to_subspaces(lines, 1)) == 4
+    for bad in (math.nan, math.inf):
+        vectors = simplex_lines(3).vectors.copy()
+        vectors[1, 2] = bad
+        with pytest.raises(ValueError, match="unit norm"):
+            LineSet(vectors)
+
+
+def test_family_members_are_read_only_copies():
+    family = lift_lines_to_subspaces(simplex_lines(2), 2)
+    picked = [
+        *((i, family[i]) for i in range(len(family))),
+        *enumerate(family),
+        *enumerate(family.members),
+        *zip(range(2, 7, 2), family[2:7:2]),
+        (len(family) - 1, family[-1]),
+    ]
+    for i, member in picked:
+        assert np.array_equal(member.rep, family.reps[i])
+        assert not np.shares_memory(member.rep, family.reps)
+        assert not member.rep.flags.writeable
 
 
 def test_block_flatten_inner_product_identity():

@@ -16,7 +16,6 @@ from grasspack.linalg import orthonormalize
 from grasspack.metrics import (
     chordal,
     evaluate,
-    fubini_study,
     fubini_study_from_spectrum,
     from_spectrum,
     geodesic,
@@ -188,13 +187,13 @@ def test_geodesic_examples():
 def test_fubini_study_identical():
     rng = np.random.default_rng(79)
     u = random_subspace(4, 2, rng)
-    assert fubini_study(u, u) == pytest.approx(0.0, abs=1e-7)
+    assert evaluate(FUBINI_STUDY, u, u) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_fubini_study_right_angle_pair():
     u = subspace_from_spanning(np.eye(4)[:, :2])
     v = subspace_from_spanning(np.eye(4)[:, 2:])
-    assert fubini_study(u, v) == pytest.approx(np.pi / 2)
+    assert evaluate(FUBINI_STUDY, u, v) == pytest.approx(np.pi / 2)
 
 
 def test_fubini_study_det_form_equals_product_form():
@@ -205,7 +204,7 @@ def test_fubini_study_det_form_equals_product_form():
         u = random_subspace(4, 2, rng)
         v = random_subspace(4, 2, rng)
         spectrum = principal_angles(u, v)
-        assert fubini_study(u, v) == pytest.approx(
+        assert evaluate(FUBINI_STUDY, u, v) == pytest.approx(
             fubini_study_from_spectrum(spectrum), abs=1e-9
         )
 

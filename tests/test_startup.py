@@ -88,12 +88,12 @@ def test_import_grasspack_loads_no_numpy():
 
 
 def test_printing_commands_run_without_numpy():
-    """Text output only: `--format json` writes through family_io.dumps_json,
-    which may load numpy."""
     commands = [
         ["lines-catalog"],
+        ["lines-catalog", "--format", "json"],
         ["bounds", "1", "7"],
         ["bounds", "2", "6"],
+        ["bounds", "2", "4", "--format", "json"],
         ["--help"],
         ["distance", "--help"],
         ["construct", "nosuch", "-o", "x"],
@@ -103,7 +103,8 @@ def test_printing_commands_run_without_numpy():
         for mode in ("block", "allow")
     }
     assert runs["block"] == runs["allow"]
-    assert [code for _, _, code in runs["block"]] == [0, 0, 0, 0, 0, 2]
+    assert [code for _, _, code in runs["block"]] == [0, 0, 0, 0, 0, 0, 0, 2]
+    assert json.loads(runs["block"][4][0])["bounds"]["angle-distance"] == 55
     assert "invalid choice: 'nosuch'" in runs["block"][-1][1]
 
 
