@@ -31,10 +31,7 @@ _EXPORTS = {
     "check_equiangular": "verify",
     "check_equiisoclinic": "verify",
     "chordal_lift": "constructions",
-    "complement": "grassmann",
-    "complement_duality_check": "grassmann",
     "complement_family": "constructions",
-    "determinant": "linalg",
     "evaluate": "metrics",
     "get_metric": "registry",
     "icosahedral_lines": "constructions",
@@ -42,17 +39,13 @@ _EXPORTS = {
     "orthonormal_lines": "constructions",
     "orthonormalize": "linalg",
     "perturb": "packing",
-    "plucker_embed": "constructions",
     "plucker_line_family": "constructions",
     "principal_angles": "grassmann",
-    "projection_matrix": "grassmann",
     "random_subspace": "grassmann",
     "simplex_lines": "constructions",
-    "singular_values": "linalg",
     "size_chrss": "bounds",
     "solve": "packing",
     "subspace_from_spanning": "grassmann",
-    "symmetric_eigenvalues": "linalg",
 }
 
 __all__ = list(_EXPORTS)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ def _projectors(reps: np.ndarray) -> np.ndarray:
     return reps @ np.swapaxes(reps, -1, -2)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LineSet:
     """N lines through the origin of R^n sharing one pairwise angle.
 
@@ -42,12 +42,11 @@ class LineSet:
     """
 
     vectors: np.ndarray
-    common_cos: float = field(init=False)
-    tol: InitVar[float] = 1e-9
+    common_cos: float
 
-    def __post_init__(self, tol: float) -> None:
+    def __init__(self, vectors, tol: float = 1e-9) -> None:
         check_tolerance(tol)
-        vectors = np.array(self.vectors, dtype=float)
+        vectors = np.array(vectors, dtype=float)
         if vectors.ndim != 2 or vectors.shape[0] < 1 or vectors.shape[1] < 1:
             raise ValueError(f"expected an (N, n) vector array, got {vectors.shape}")
         if not (orthonormality_residuals(vectors[:, :, None]) <= EPS_ORTH).all():
@@ -240,17 +239,6 @@ def chordal_lift(family: SubspaceFamily) -> SubspaceFamily:
     provenance = f"chordal_lift of [{family.provenance}]"
     metadata = dict(_derived(family), construction="chordal_lift", provenance=provenance)
     return SubspaceFamily(reps, metadata)
-
-
-def plucker_embed(u: Subspace) -> np.ndarray:
-    """Pluecker coordinates: the k x k row minors of the representative.
-
-    Row subsets are enumerated in lexicographic order; the result is a unit
-    vector of length binom(n, k) and <phi(U), phi(V)> = det(U^T V) by
-    Cauchy-Binet.
-    """
-    rows = np.array(list(itertools.combinations(range(u.n), u.k)))
-    return np.linalg.det(u.rep[rows])
 
 
 def plucker_line_family(family: SubspaceFamily) -> LineSet:

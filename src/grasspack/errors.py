@@ -9,10 +9,6 @@ class RankDeficientError(GrasspackError):
     """Input columns do not have full numerical rank."""
 
 
-class NotSymmetricError(GrasspackError):
-    """Matrix expected to be symmetric is not."""
-
-
 class DimensionMismatchError(GrasspackError):
     """Operands live on different Grassmannians."""
 

@@ -20,16 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClampError, DimensionMismatchError, FullDimensionError
-from .linalg import (
-    CLAMP_SLACK,
-    EPS_ANGLE,
-    EPS_ORTH,
-    as_matrix,
-    check_eps_angle,
-    check_tolerance,
-    orthonormality_residuals,
-    orthonormalize,
-)
+from .linalg import CLAMP_SLACK, EPS_ORTH, as_matrix, orthonormality_residuals, orthonormalize
 
 # Entries (pairs x n x k) of each representative stack a chunk of
 # `pair_chunks` holds: no row of the paper-scale lifts is split (a 1 331-member
@@ -166,11 +157,6 @@ def principal_angles(u: Subspace, v: Subspace) -> np.ndarray:
     return spectra(u.rep, v.rep)
 
 
-def projection_matrix(u: Subspace) -> np.ndarray:
-    """Orthogonal projector U U^T onto the subspace (basis-independent)."""
-    return u.rep @ u.rep.T
-
-
 def complements(reps: np.ndarray) -> np.ndarray:
     """Orthogonal complements of an (..., n, k) stack: the trailing left singular
     vectors of each representative, sign-fixed, as an (..., n, n - k) stack."""
@@ -180,29 +166,3 @@ def complements(reps: np.ndarray) -> np.ndarray:
     left = np.linalg.svd(reps, full_matrices=True)[0]
     return sign_fix_columns(left[..., k:])
 
-
-def complement(u: Subspace) -> Subspace:
-    """Orthogonal complement in Gr(n-k, n)."""
-    return Subspace(complements(u.rep))
-
-
-def complement_duality_check(
-    u: Subspace, v: Subspace, tol: float = 1e-8, eps_angle: float = EPS_ANGLE
-) -> bool:
-    """True iff the nonzero principal angles of (U, V) match those of (U-perp, V-perp).
-
-    Angles above eps_angle count as nonzero.  The c largest angles of each
-    side, c the larger nonzero count, must match within `tol` as sorted
-    lists: where the counts differ, an angle at or below eps_angle stands in
-    for one just above it on the other side.
-    """
-    check_tolerance(tol)
-    check_eps_angle(eps_angle)
-    require_same_grassmannian(u, v)
-    direct = principal_angles(u, v)
-    dual = principal_angles(complement(u), complement(v))
-    count = max(int((direct > eps_angle).sum()), int((dual > eps_angle).sum()))
-    if count > min(direct.size, dual.size):
-        return False
-    gaps = np.abs(direct[direct.size - count :] - dual[dual.size - count :])
-    return bool(gaps.max(initial=0.0) <= tol)

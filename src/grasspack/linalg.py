@@ -1,9 +1,10 @@
-"""Tolerances, input validation and thin wrappers over numpy's LAPACK.
+"""Tolerances, input validation and orthonormalization.
 
-Everything operates on plain float64 numpy arrays.  The decompositions
-(QR, symmetric eigenvalues, SVD, LU determinant) are LAPACK's, reached
-through numpy; the wrappers here add the package's conventions: validated
-2-D input, descending order, sign-fixed QR factors and typed errors.
+Everything operates on plain float64 numpy arrays.  The one decomposition
+here, QR, is LAPACK's, reached through numpy; `orthonormalize` adds the
+package's conventions: validated 2-D input, R with a positive diagonal and
+a typed error for dependent columns.  The SVDs and determinants of the
+angle and metric kernels call numpy directly.
 
 One threshold is a user choice: `eps_angle`, the angle in radians below
 which a principal angle counts as zero (the CLI's --tol).  Functions that
@@ -18,10 +19,10 @@ import math
 
 import numpy as np
 
-from .errors import ClampError, NotSymmetricError, RankDeficientError
+from .errors import ClampError, RankDeficientError
 
-# Entrywise zero for orthonormal data: residuals Q^T Q - I, symmetry defects,
-# projector gaps between family members and sign-convention pivots.
+# Entrywise zero for orthonormal data: residuals Q^T Q - I, projector gaps
+# between family members and sign-convention pivots.
 EPS_ORTH = 1e-10
 # Default eps_angle: principal angles below this many radians count as zero.
 EPS_ANGLE = 1e-7
@@ -106,25 +107,3 @@ def orthonormalize_stack(a) -> tuple[np.ndarray, np.ndarray]:
     dependent = np.abs(diag) <= EPS_ORTH * np.maximum(1.0, np.sqrt((a * a).sum(axis=-2)))
     return q * np.sign(diag)[..., None, :], ~dependent.any(axis=-1)
 
-
-def symmetric_eigenvalues(s) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, sorted descending."""
-    a = as_matrix(s)
-    if a.shape[0] != a.shape[1]:
-        raise NotSymmetricError(f"matrix is not square: {a.shape}")
-    if float(np.max(np.abs(a - a.T))) > EPS_ORTH:
-        raise NotSymmetricError("matrix is not symmetric within eps_orth")
-    return np.linalg.eigvalsh(0.5 * (a + a.T))[::-1]
-
-
-def singular_values(a) -> np.ndarray:
-    """Singular values of `a`, sorted descending (min(rows, cols) of them)."""
-    return np.linalg.svd(as_matrix(a), compute_uv=False)
-
-
-def determinant(a) -> float:
-    """Determinant of a square matrix (LAPACK LU)."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"determinant needs a square matrix, got {m.shape}")
-    return float(np.linalg.det(m))

@@ -1,16 +1,13 @@
 """The distance zoo over principal-angle spectra, for the metrics of `registry`.
 
-Angle distances (theta_1, theta_F, theta_k) return one of the principal
-angles; chordal, geodesic and Fubini-Study are derived functions of the
-spectrum.  Every evaluator reduces over the last axis, so one formula serves
-a single spectrum and a whole stack of them.  All are pure and symmetric in
+`pair_distances` reads Fubini-Study from a determinant of the cross-Grams
+and chordal from the Frobenius norms of the residuals (their singular
+values are the sines), so neither runs the angle SVDs.  The rest are
+functions of the spectrum from `spectra`: the angle distances (theta_1,
+theta_F, theta_k) return one of the principal angles and geodesic is the
+spectrum's norm.  Each reduces over the last axis, so one formula serves a
+single spectrum and a whole stack of them.  All are pure and symmetric in
 their two subspaces.
-
-On representatives, `pair_distances` reads Fubini-Study from a determinant
-of the cross-Grams and chordal from the Frobenius norms of the residuals
-(their singular values are the sines), so neither runs the angle SVDs; the
-rest come from `spectra`.  The spectrum forms stay for callers that already
-hold a spectrum and as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -43,37 +40,12 @@ def theta_k(spectrum):
     return np.asarray(spectrum, dtype=float)[..., -1][()]  # [()]: scalar for one spectrum
 
 
-def chordal(spectrum):
-    """sqrt(sum of sin^2 theta_i)."""
-    return np.sqrt((np.sin(np.asarray(spectrum, dtype=float)) ** 2).sum(axis=-1))
-
-
 def geodesic(spectrum):
     """sqrt(sum of theta_i^2): Riemannian distance on the Grassmannian."""
     return np.sqrt((np.asarray(spectrum, dtype=float) ** 2).sum(axis=-1))
 
 
-def fubini_study_from_spectrum(spectrum):
-    """Product-of-cosines form of the Fubini-Study distance (cross-check route)."""
-    cosines = np.prod(np.cos(np.asarray(spectrum, dtype=float)), axis=-1)
-    return np.arccos(clamp_unit_interval(cosines))
-
-
-_FROM_SPECTRUM = {
-    "theta_1": theta_1,
-    "theta_k": theta_k,
-    "chordal": chordal,
-    "geodesic": geodesic,
-    "fubini_study": fubini_study_from_spectrum,
-}
-
-
-def from_spectrum(metric, spectrum, eps_angle: float = EPS_ANGLE):
-    """Evaluate a metric on a precomputed angle spectrum, or a (..., k) stack of them."""
-    metric = get_metric(metric)
-    if metric.id == "theta_F":
-        return theta_F(spectrum, eps_angle)
-    return _FROM_SPECTRUM[metric.id](spectrum)
+_FROM_SPECTRUM = {"theta_1": theta_1, "theta_k": theta_k, "geodesic": geodesic}
 
 
 def pair_distances(metric, a, b, eps_angle: float = EPS_ANGLE):
@@ -99,7 +71,10 @@ def pair_distances(metric, a, b, eps_angle: float = EPS_ANGLE):
         if near.any():
             cosines(cross[near])
         return np.sqrt(np.square(residual, out=residual).sum(axis=(-2, -1)))
-    return from_spectrum(metric, spectra(a, b), eps_angle)
+    spectrum = spectra(a, b)
+    if metric.id == "theta_F":
+        return theta_F(spectrum, eps_angle)
+    return _FROM_SPECTRUM[metric.id](spectrum)
 
 
 def evaluate(metric, u: Subspace, v: Subspace, eps_angle: float = EPS_ANGLE) -> float:

@@ -128,8 +128,9 @@ class PackingProblem:
             )
         if self.m < 2:
             raise InvalidProblemError(f"need m >= 2 members, got {self.m}")
-        if not 1 <= self.k <= self.n:
-            raise InvalidProblemError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+        if not 1 <= self.k < self.n:
+            # Gr(n, n) holds one subspace, R^n, so any two members coincide
+            raise InvalidProblemError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
         if self.objective not in OBJECTIVES:
             raise InvalidProblemError(
                 f"unknown objective {self.objective!r}; known: {OBJECTIVES}"

@@ -99,7 +99,7 @@ class Certificate:
             "verdict": self.verdict,
         }
         # full matrix only at desk scale; summary stats always present
-        if self.m <= EVAL_MATRIX_MAX:
+        if self.eval_matrix is not None:
             doc["eval_matrix"] = self.eval_matrix.tolist()
         return doc
 

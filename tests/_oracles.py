@@ -8,12 +8,31 @@ chordal distance from its trace form.  `anneal_reference` is the annealer
 that scores one move per restart at a time, the loop `packing._anneal`
 must reproduce bit for bit, and `sign_fix_reference` the column-by-column
 sign fix that `grassmann.sign_fix_columns` must reproduce over whole stacks.
+
+The paper's identities are checked through the forms below, which the
+library itself does not use: the projector U U^T (`projection_matrix`), the
+complement of one Subspace and complement duality of the nonzero angles
+(`complement`, `complement_duality_check`), the Pluecker coordinates whose
+inner products are det(U^T V) by Cauchy-Binet (`plucker_embed`), and the
+spectrum forms of the chordal and Fubini-Study distances (`chordal`,
+`fubini_study_from_spectrum`), which `metrics.pair_distances` reads from the
+residuals and a determinant instead.
 """
+
+import itertools
 
 import numpy as np
 
 from grasspack.errors import RankDeficientError
-from grasspack.linalg import EPS_ORTH, orthonormalize_stack
+from grasspack.grassmann import Subspace, complements, principal_angles, require_same_grassmannian
+from grasspack.linalg import (
+    EPS_ANGLE,
+    EPS_ORTH,
+    check_eps_angle,
+    check_tolerance,
+    clamp_unit_interval,
+    orthonormalize_stack,
+)
 from grasspack.metrics import pair_distances
 from grasspack.packing import MIN_SEPARATION, MOVE_BLOCK, STEP, TEMPERATURE, _schedule
 
@@ -114,6 +133,58 @@ def chordal_trace_form(u, v) -> float:
     """
     g = u.rep.T @ v.rep
     return float(np.sqrt(max(float(u.k) - float(np.sum(g * g)), 0.0)))
+
+
+def projection_matrix(u) -> np.ndarray:
+    """Orthogonal projector U U^T onto a Subspace (basis-independent)."""
+    return u.rep @ u.rep.T
+
+
+def complement(u) -> Subspace:
+    """Orthogonal complement of a Subspace in Gr(n-k, n)."""
+    return Subspace(complements(u.rep))
+
+
+def complement_duality_check(u, v, tol: float = 1e-8, eps_angle: float = EPS_ANGLE) -> bool:
+    """True iff the nonzero principal angles of (U, V) match those of (U-perp, V-perp).
+
+    Angles above eps_angle count as nonzero.  The c largest angles of each
+    side, c the larger nonzero count, must match within `tol` as sorted
+    lists: where the counts differ, an angle at or below eps_angle stands in
+    for one just above it on the other side.
+    """
+    check_tolerance(tol)
+    check_eps_angle(eps_angle)
+    require_same_grassmannian(u, v)
+    direct = principal_angles(u, v)
+    dual = principal_angles(complement(u), complement(v))
+    count = max(int((direct > eps_angle).sum()), int((dual > eps_angle).sum()))
+    if count > min(direct.size, dual.size):
+        return False
+    gaps = np.abs(direct[direct.size - count :] - dual[dual.size - count :])
+    return bool(gaps.max(initial=0.0) <= tol)
+
+
+def plucker_embed(u) -> np.ndarray:
+    """Pluecker coordinates of a Subspace: the k x k row minors of its representative.
+
+    Row subsets are enumerated in lexicographic order; the result is a unit
+    vector of length binom(n, k) and <phi(U), phi(V)> = det(U^T V) by
+    Cauchy-Binet.
+    """
+    rows = np.array(list(itertools.combinations(range(u.n), u.k)))
+    return np.linalg.det(u.rep[rows])
+
+
+def chordal(spectrum):
+    """Spectrum form of the chordal distance: sqrt(sum of sin^2 theta_i)."""
+    return np.sqrt((np.sin(np.asarray(spectrum, dtype=float)) ** 2).sum(axis=-1))
+
+
+def fubini_study_from_spectrum(spectrum):
+    """Product-of-cosines form of the Fubini-Study distance: arccos(prod cos theta_i)."""
+    cosines = np.prod(np.cos(np.asarray(spectrum, dtype=float)), axis=-1)
+    return np.arccos(clamp_unit_interval(cosines))
 
 
 def anneal_reference(problem, metric):

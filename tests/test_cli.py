@@ -19,6 +19,8 @@ from grasspack.family_io import (
 from grasspack.metrics import evaluate
 from grasspack.packing import perturb
 
+from _oracles import projection_matrix
+
 
 @pytest.fixture()
 def lines_file(tmp_path):
@@ -505,8 +507,6 @@ def test_complement_round_trip(tmp_path, lines_file, capsys):
     # double complement recovers the original projectors
     comp2 = tmp_path / "comp2.json"
     assert main(["complement", str(comp), "-o", str(comp2)]) == 0
-    from grasspack.grassmann import projection_matrix
-
     original = load_family(lines_file)
     recovered = load_family(comp2)
     for a, b in zip(original.members, recovered.members):
@@ -631,6 +631,15 @@ def test_pack_invalid_problem_exit_2(tmp_path, capsys):
     garbled.write_text("{not json")
     assert main(["pack", str(garbled)]) == 2
     assert "is not valid JSON" in capsys.readouterr().err
+
+
+def test_pack_full_dimension_exit_2_before_annealing(tmp_path, capsys):
+    # every member of Gr(3, 3) is R^3: rejected up front, no result file written
+    src = tmp_path / "problem.json"
+    src.write_text(json.dumps({"k": 3, "n": 3, "m": 4, "metric": "chordal"}))
+    assert main(["pack", str(src)]) == 2
+    assert capsys.readouterr().err == "error: need 1 <= k < n, got k=3, n=3\n"
+    assert not (tmp_path / "problem.result.json").exists()
 
 
 @pytest.mark.parametrize(

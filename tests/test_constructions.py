@@ -15,25 +15,18 @@ from grasspack.constructions import (
     icosahedral_lines,
     lift_lines_to_subspaces,
     orthonormal_lines,
-    plucker_embed,
     plucker_line_family,
     simplex_lines,
 )
 from grasspack.errors import AngleZeroError, FamilyTooSmallError, NotEquiangularError
 from grasspack.family_io import family_to_doc, parse_family_doc
-from grasspack.grassmann import (
-    complement,
-    principal_angles,
-    projection_matrix,
-    random_subspace,
-    subspace_from_spanning,
-)
-from grasspack.linalg import EPS_ORTH, determinant
+from grasspack.grassmann import principal_angles, random_subspace, subspace_from_spanning
+from grasspack.linalg import EPS_ORTH
 from grasspack.metrics import evaluate
 from grasspack.packing import PackingProblem, perturb, solve
 from grasspack.registry import CHORDAL, FUBINI_STUDY
 
-from _oracles import sign_fix_reference
+from _oracles import complement, plucker_embed, projection_matrix, sign_fix_reference
 
 
 def pairwise_abs_dots(vectors):
@@ -104,6 +97,20 @@ def test_lineset_tolerance_is_the_callers():
     for bad in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
             LineSet(spread, tol=bad)
+
+
+def test_lineset_keeps_no_tolerance():
+    # tol only checks the vectors, so neither the class nor a set holds one
+    # (simplex_lines(3), checked at 1e-11, cannot report the default 1e-9)
+    assert not hasattr(LineSet, "tol")
+    assert not hasattr(simplex_lines(3), "tol")
+    # |cos| of 0.5 +/- 1e-9: a spread of about 1.7e-9, outside the default 1e-9
+    angles = np.array([0.0, np.pi / 3 + 2e-9, 2 * np.pi / 3])
+    vectors = np.column_stack([np.cos(angles), np.sin(angles)])
+    with pytest.raises(NotEquiangularError, match="exceeds 1.0e-09"):
+        LineSet(vectors)
+    assert LineSet(vectors, tol=1e-8).common_cos == pytest.approx(0.5, abs=1e-8)
+    assert LineSet(vectors, 1e-8).common_cos == pytest.approx(0.5, abs=1e-8)
 
 
 def test_lift_rejects_vanishing_angle():
@@ -298,7 +305,7 @@ def test_plucker_cauchy_binet():
             u = random_subspace(n, k, rng)
             v = random_subspace(n, k, rng)
             inner = plucker_embed(u) @ plucker_embed(v)
-            assert inner == pytest.approx(determinant(u.rep.T @ v.rep), abs=1e-9)
+            assert inner == pytest.approx(np.linalg.det(u.rep.T @ v.rep), abs=1e-9)
 
 
 def test_plucker_line_family_orthogonal_planes():

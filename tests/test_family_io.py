@@ -20,7 +20,8 @@ from grasspack.family_io import (
     save_family,
     save_lineset,
 )
-from grasspack.grassmann import projection_matrix
+
+from _oracles import projection_matrix
 
 
 @pytest.fixture()

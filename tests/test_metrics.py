@@ -5,19 +5,10 @@ import pytest
 
 from grasspack.constructions import lift_lines_to_subspaces, simplex_lines
 from grasspack.errors import ClampError, UnknownMetricError
-from grasspack.grassmann import (
-    Subspace,
-    complement,
-    random_subspace,
-    spectra,
-    subspace_from_spanning,
-)
+from grasspack.grassmann import Subspace, random_subspace, spectra, subspace_from_spanning
 from grasspack.linalg import orthonormalize
 from grasspack.metrics import (
-    chordal,
     evaluate,
-    fubini_study_from_spectrum,
-    from_spectrum,
     geodesic,
     pair_distances,
     theta_1,
@@ -35,7 +26,7 @@ from grasspack.registry import (
     get_metric,
 )
 
-from _oracles import chordal_trace_form
+from _oracles import chordal, chordal_trace_form, complement, fubini_study_from_spectrum
 
 
 def test_registry_flags():
@@ -112,7 +103,7 @@ def test_chordal_residual_norm_matches_angle_route(k):
     a = np.array([u.rep for u in us])
     b = np.array([v.rep for v in vs])
     got = pair_distances(CHORDAL, a, b)
-    np.testing.assert_allclose(got, from_spectrum(CHORDAL, spectra(a, b)), rtol=1e-12)
+    np.testing.assert_allclose(got, chordal(spectra(a, b)), rtol=1e-12)
     np.testing.assert_allclose(got, [chordal_trace_form(u, v) for u, v in zip(us, vs)], rtol=1e-12)
 
 
@@ -134,7 +125,7 @@ def test_chordal_residual_norm_on_planted_angles(k):
             u = Subspace(frame[:, :k])
             v = Subspace(frame[:, :k] * np.cos(t) + frame[:, k : 2 * k] * np.sin(t))
             got = pair_distances(CHORDAL, u.rep, v.rep)
-            assert got == pytest.approx(from_spectrum(CHORDAL, spectra(u.rep, v.rep)), rel=1e-12)
+            assert got == pytest.approx(chordal(spectra(u.rep, v.rep)), rel=1e-12)
             assert got == pytest.approx(chordal_trace_form(u, v), abs=1e-8)
             if frame is exact:
                 assert got == pytest.approx(want, rel=1e-12), (t, got)

@@ -10,12 +10,12 @@ from grasspack import packing
 from grasspack.constructions import lift_lines_to_subspaces, simplex_lines
 from grasspack.errors import InvalidProblemError
 from grasspack.family_io import family_to_doc
-from grasspack.grassmann import projection_matrix, spectra
-from grasspack.metrics import evaluate, from_spectrum, pair_distances
+from grasspack.grassmann import spectra
+from grasspack.metrics import evaluate, pair_distances
 from grasspack.packing import OBJECTIVES, PackingProblem, PackingResult, perturb, solve
-from grasspack.registry import CHORDAL, METRICS, get_metric
+from grasspack.registry import METRICS, get_metric
 
-from _oracles import anneal_reference
+from _oracles import anneal_reference, chordal, projection_matrix
 
 
 def small_problem(**overrides):
@@ -38,6 +38,9 @@ def test_invalid_problems_rejected():
         small_problem(m=1).validated_metric()
     with pytest.raises(InvalidProblemError):
         small_problem(k=3, n=2).validated_metric()
+    # Gr(n, n) has one member, so any two coincide
+    with pytest.raises(InvalidProblemError, match="need 1 <= k < n"):
+        small_problem(k=2, n=2).validated_metric()
     with pytest.raises(InvalidProblemError):
         small_problem(metric="spectral").validated_metric()
     with pytest.raises(InvalidProblemError):
@@ -135,7 +138,7 @@ def test_solve_orthogonal_planes_chordal():
     # the annealer's residual-norm chordal values agree with the angle route
     reps = result.family.reps
     iu, ju = np.triu_indices(len(reps), 1)
-    recomputed = from_spectrum(CHORDAL, spectra(reps[iu], reps[ju])).min()
+    recomputed = chordal(spectra(reps[iu], reps[ju])).min()
     assert recomputed == pytest.approx(result.objective_value, abs=1e-12)
 
 

@@ -70,6 +70,37 @@ def test_every_export_resolves_to_its_defining_module():
             assert obj.__module__ == module.__name__, name
 
 
+PUBLIC = [
+    "Certificate", "EPS_ANGLE", "EquiangularReport", "EquiisoclinicReport", "LineSet",
+    "METRICS", "Metric", "PackingProblem", "PackingResult", "Subspace", "SubspaceFamily",
+    "bound_angle_distance", "bound_blokhuis", "bound_chordal", "bound_decaen",
+    "bound_fubini_study", "bound_gerzon", "bound_lemmens_seidel", "check_equiangular",
+    "check_equiisoclinic", "chordal_lift", "complement_family", "evaluate", "get_metric",
+    "icosahedral_lines", "lift_lines_to_subspaces", "orthonormal_lines", "orthonormalize",
+    "perturb", "plucker_line_family", "polynomial_certificate", "principal_angles",
+    "random_subspace", "simplex_lines", "size_chrss", "solve", "subspace_from_spanning",
+]
+
+# Names the library no longer defines, by the module that held each: the
+# test oracles among them live in tests/_oracles.py.
+REMOVED = {
+    "errors": ["NotSymmetricError"],
+    "linalg": ["symmetric_eigenvalues", "singular_values", "determinant"],
+    "grassmann": ["projection_matrix", "complement", "complement_duality_check"],
+    "constructions": ["plucker_embed"],
+    "metrics": ["chordal", "fubini_study_from_spectrum", "from_spectrum"],
+}
+
+
+def test_public_surface_is_pinned():
+    assert sorted(grasspack.__all__) == PUBLIC
+    for module, names in REMOVED.items():
+        for name in names:
+            with pytest.raises(AttributeError, match=f"'{name}'"):
+                getattr(grasspack, name)
+            assert not hasattr(importlib.import_module(f"grasspack.{module}"), name)
+
+
 def test_dir_and_star_import_cover_all():
     assert set(grasspack.__all__) <= set(dir(grasspack))
     namespace: dict = {}

@@ -363,7 +363,7 @@ def test_certificate_serialization_sizes(lift9):
         m=60,
         alpha=cert.alpha,
         lam=cert.lam,
-        eval_matrix=np.zeros((60, 60)),
+        eval_matrix=None,  # what polynomial_certificate keeps beyond EVAL_MATRIX_MAX
         diagonal_target=cert.diagonal_target,
         max_diag_deviation=0.0,
         max_offdiag=0.0,
