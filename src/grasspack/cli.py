@@ -161,46 +161,44 @@ def cmd_verify(args) -> int:
 def _simplex_lines(params: dict):
     from .constructions import simplex_lines
 
-    return simplex_lines(params["n"]), params
+    return simplex_lines(params["n"])
 
 
 def _icosahedral_lines(params: dict):
     from .constructions import icosahedral_lines
 
-    return icosahedral_lines(), params
+    return icosahedral_lines()
 
 
 def _orthonormal_lines(params: dict):
     from .constructions import orthonormal_lines
 
-    return orthonormal_lines(params["n"]), params
+    return orthonormal_lines(params["n"])
 
 
 def _lift(params: dict):
     from .constructions import lift_lines_to_subspaces
     from .family_io import load_lineset
 
-    return lift_lines_to_subspaces(load_lineset(params["in"]), params["k"]), {}
+    return lift_lines_to_subspaces(load_lineset(params["in"]), params["k"])
 
 
 def _chordal_lift(params: dict):
     from .constructions import chordal_lift
     from .family_io import load_family
 
-    return chordal_lift(load_family(params["in"])), {}
+    return chordal_lift(load_family(params["in"]))
 
 
 def _plucker(params: dict):
     from .constructions import plucker_line_family
     from .family_io import load_family
 
-    family = load_family(params["in"])
-    return plucker_line_family(family), {"source_k": family.k, "source_n": family.n}
+    return plucker_line_family(load_family(params["in"]))
 
 
 # kind -> (its key=value parameters, all required, with their types; a builder
-# from the parsed parameters to the LineSet or SubspaceFamily it writes and
-# the metadata a line file records beside its construction)
+# from the parsed parameters to the LineSet or SubspaceFamily it writes)
 CONSTRUCTIONS = {
     "simplex-lines": ({"n": int}, _simplex_lines),
     "icosahedral-lines": ({}, _icosahedral_lines),
@@ -218,10 +216,10 @@ def cmd_construct(args) -> int:
     types, build = CONSTRUCTIONS[args.kind]
     params = _parse_params(args.params, types)
     _require(params, *types)
-    made, metadata = build(params)
+    made = build(params)
     out = Path(args.out)
     if isinstance(made, LineSet):
-        save_lineset(out, made, {"construction": args.kind, **metadata})
+        save_lineset(out, made)
         summary = f"{made.size} lines in R^{made.n}"
     else:
         save_family(out, made)
@@ -420,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GrasspackError, ValueError) as exc:
+    except (GrasspackError, ValueError, OSError) as exc:  # OSError: an output file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,14 +28,26 @@ def _projectors(reps: np.ndarray) -> np.ndarray:
     return reps @ np.swapaxes(reps, -1, -2)
 
 
+def _common_cos(vectors: np.ndarray, tol: float, failure: str) -> float:
+    """The mean |<u, v>| over distinct pairs of rows (0 for one row); NotEquiangularError,
+    its message led by `failure`, when a pair's |<u, v>| deviates from it by more than tol."""
+    pairs = np.abs(vectors @ vectors.T)[np.triu_indices(vectors.shape[0], 1)]
+    common = float(pairs.mean()) if pairs.size else 0.0
+    dev = float(np.max(np.abs(pairs - common), initial=0.0))
+    if dev > tol:
+        raise NotEquiangularError(f"{failure} spread {dev:.3e} exceeds {tol:.1e}")
+    return common
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class LineSet:
     """N lines through the origin of R^n sharing one pairwise angle.
 
     vectors     (N, n) read-only array, one unit vector per line
     common_cos  the shared |<u, v>| over distinct pairs, in [0, 1) (0 for one line)
+    metadata    free-form map written to the set's file; never "common_cos", which is measured
 
-    `LineSet(vectors, tol=1e-9)` measures common_cos and raises
+    `LineSet(vectors, tol=1e-9, metadata=None)` measures common_cos and raises
     NotEquiangularError when a pair's |<u, v>| deviates from it by more than
     tol, which the set does not keep.  Unit norm is the family rule for
     k = 1, |<u, u> - 1| <= EPS_ORTH, so every line set lifts.
@@ -43,26 +55,23 @@ class LineSet:
 
     vectors: np.ndarray
     common_cos: float
+    metadata: dict
 
-    def __init__(self, vectors, tol: float = 1e-9) -> None:
+    def __init__(self, vectors, tol: float = 1e-9, metadata: dict | None = None) -> None:
         check_tolerance(tol)
         vectors = np.array(vectors, dtype=float)
         if vectors.ndim != 2 or vectors.shape[0] < 1 or vectors.shape[1] < 1:
             raise ValueError(f"expected an (N, n) vector array, got {vectors.shape}")
         if not (orthonormality_residuals(vectors[:, :, None]) <= EPS_ORTH).all():
             raise ValueError("line vectors must have unit norm")
-        pairs = np.abs(vectors @ vectors.T)[np.triu_indices(vectors.shape[0], 1)]
-        common = float(pairs.mean()) if pairs.size else 0.0
-        dev = float(np.max(np.abs(pairs - common), initial=0.0))
-        if dev > tol:
-            raise NotEquiangularError(
-                f"line set is not equiangular: |<u,v>| spread {dev:.3e} exceeds {tol:.1e}"
-            )
+        common = _common_cos(vectors, tol, "line set is not equiangular: |<u,v>|")
         if not common < 1.0:
             raise ValueError(f"common_cos must lie in [0, 1), got {common}")
         vectors.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "common_cos", common)
+        metadata = {key: value for key, value in (metadata or {}).items() if key != "common_cos"}
+        object.__setattr__(self, "metadata", metadata)
 
     @property
     def size(self) -> int:
@@ -176,7 +185,7 @@ def simplex_lines(n: int) -> LineSet:
     coords = centered @ complements(ones)
     coords /= np.linalg.norm(coords, axis=1, keepdims=True)
     # keep the true vertex vectors: the signed inner products are exactly -1/n
-    return LineSet(coords, tol=1e-11)
+    return LineSet(coords, tol=1e-11, metadata={"construction": "simplex-lines", "n": n})
 
 
 def icosahedral_lines() -> LineSet:
@@ -193,14 +202,15 @@ def icosahedral_lines() -> LineSet:
         ]
     )
     vectors = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    return LineSet(sign_fix_columns(vectors.T).T, tol=1e-11)
+    metadata = {"construction": "icosahedral-lines"}
+    return LineSet(sign_fix_columns(vectors.T).T, tol=1e-11, metadata=metadata)
 
 
 def orthonormal_lines(n: int) -> LineSet:
     """The n coordinate axes: the degenerate common angle pi/2 catalog entry."""
     if n < 1:
         raise ValueError(f"orthonormal_lines needs n >= 1, got {n}")
-    return LineSet(np.eye(n))
+    return LineSet(np.eye(n), metadata={"construction": "orthonormal-lines", "n": n})
 
 
 def lift_lines_to_subspaces(lines: LineSet, k: int) -> SubspaceFamily:
@@ -245,7 +255,8 @@ def plucker_line_family(family: SubspaceFamily) -> LineSet:
     """Lines along the Pluecker images of a Fubini-Study-equiangular family.
 
     The pairwise |<phi(U_i), phi(U_j)>| = |det(U_i^T U_j)| must share one
-    value (cos of the common Fubini-Study angle); otherwise NotEquiangular.
+    value (cos of the common Fubini-Study angle) within 1e-8; otherwise
+    NotEquiangularError names the input family.
     """
     if len(family) < 1:
         raise FamilyTooSmallError("Pluecker lines need at least one family member")
@@ -257,7 +268,9 @@ def plucker_line_family(family: SubspaceFamily) -> LineSet:
         phis[lo : lo + step] = np.linalg.det(family.reps[lo : lo + step, rows])
     norms = np.linalg.norm(phis, axis=1)
     phis /= norms[:, None]
-    return LineSet(sign_fix_columns(phis.T).T, tol=1e-8)
+    _common_cos(phis, 1e-8, "input family is not Fubini-Study-equiangular: |det(U_i^T U_j)|")
+    metadata = {"construction": "plucker", "source_k": family.k, "source_n": family.n}
+    return LineSet(sign_fix_columns(phis.T).T, tol=1e-8, metadata=metadata)
 
 
 def complement_family(family: SubspaceFamily) -> SubspaceFamily:

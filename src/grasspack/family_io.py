@@ -81,14 +81,14 @@ def _doc(kind: str, n: int, k: int, members: list, metadata: dict) -> dict:
             "metadata": metadata}
 
 
-def lineset_to_doc(lines: LineSet, metadata: dict | None = None) -> dict:
-    meta = {"common_cos": float(lines.common_cos), **(metadata or {})}
+def lineset_to_doc(lines: LineSet) -> dict:
+    meta = {"common_cos": float(lines.common_cos), **lines.metadata}
     return _doc(KIND_LINES, lines.n, 1, lines.vectors.tolist(), meta)
 
 
-def family_to_doc(family: SubspaceFamily, metadata: dict | None = None) -> dict:
-    meta = {**family.metadata, **(metadata or {})}
-    return _doc(KIND_SUBSPACES, family.n, family.k, family.reps.tolist(), meta)
+def family_to_doc(family: SubspaceFamily) -> dict:
+    # a copy: the doc is the caller's to change, the family's metadata is not
+    return _doc(KIND_SUBSPACES, family.n, family.k, family.reps.tolist(), dict(family.metadata))
 
 
 def _validate_doc(doc) -> tuple[str, int, int, list, dict]:
@@ -188,14 +188,15 @@ def parse_lineset_doc(doc) -> LineSet:
     """Build a LineSet from a doc of kind 'lines', checking equiangularity.
 
     The members load as a Gr(1, n) family, so a line file gets the same
-    checks and normalization as any other.
+    checks and normalization as any other; the set keeps the file's metadata.
     """
     from .constructions import LineSet
 
     kind, *rest = _validate_doc(doc)
     if kind != KIND_LINES:
         raise ParseError(f"expected kind 'lines', got {kind!r}")
-    return LineSet(_parse_members(kind, *rest).reps[:, :, 0], tol=1e-8)
+    family = _parse_members(kind, *rest)
+    return LineSet(family.reps[:, :, 0], tol=1e-8, metadata=family.metadata)
 
 
 def read_json(path):
@@ -216,9 +217,9 @@ def load_lineset(path) -> LineSet:
     return parse_lineset_doc(read_json(path))
 
 
-def save_lineset(path, lines: LineSet, metadata: dict | None = None) -> None:
-    Path(path).write_text(dumps_json(lineset_to_doc(lines, metadata)), encoding="utf-8")
+def save_lineset(path, lines: LineSet) -> None:
+    Path(path).write_text(dumps_json(lineset_to_doc(lines)), encoding="utf-8")
 
 
-def save_family(path, family: SubspaceFamily, metadata: dict | None = None) -> None:
-    Path(path).write_text(dumps_json(family_to_doc(family, metadata)), encoding="utf-8")
+def save_family(path, family: SubspaceFamily) -> None:
+    Path(path).write_text(dumps_json(family_to_doc(family)), encoding="utf-8")

@@ -8,9 +8,9 @@ and TEMPERATURE, not problem fields.
 
 A problem holds nine fields of JSON types: integers for k, n, m, seed,
 restarts and max_iters, a number for min_separation and strings for metric
-and objective.  `validated_metric`, which `from_dict` and `solve` both run,
-rejects every other type, booleans included; `from_dict` converts nothing
-but an integer min_separation (to float), and seed defaults to 0.
+and objective.  A problem checks itself when made, and under `replace`: any
+other type, booleans included, raises InvalidProblemError, an integer
+min_separation is stored as a float, and seed defaults to 0.
 
 All restarts run in lockstep as one array program: the members are an
 (R, m, n, k) stack and the pair values R rows, so each iteration moves one
@@ -50,7 +50,7 @@ rejected moves, are bit-identical however many restarts run beside it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -65,7 +65,7 @@ OBJECTIVES = ("maximin", "equiangular_variance")
 
 # Types a problem field accepts, keyed by its annotation (a string, under
 # `from __future__ import annotations`): the JSON types of a problem file.
-# `validated_metric` compares exact types, so true/false (bool subclasses
+# `__post_init__` compares exact types, so true/false (bool subclasses
 # int) fail every check.
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
@@ -106,8 +106,8 @@ class PackingProblem:
     # searches should set this to a meaningful angle scale.
     min_separation: float = MIN_SEPARATION
 
-    def validated_metric(self) -> Metric:
-        """Check the field types and problem invariants; returns the resolved Metric."""
+    def __post_init__(self) -> None:
+        """Check the field types and problem invariants; store min_separation as a float."""
         for field in fields(self):
             value = getattr(self, field.name)
             if type(value) not in _JSON_TYPES[field.type]:
@@ -148,7 +148,7 @@ class PackingProblem:
             raise InvalidProblemError(
                 f"theta_1 maximin is degenerate for 2k > n (k={self.k}, n={self.n})"
             )
-        return metric
+        object.__setattr__(self, "min_separation", float(self.min_separation))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -163,9 +163,7 @@ class PackingProblem:
         missing = sorted({"k", "n", "m", "metric"} - set(doc))
         if missing:
             raise InvalidProblemError(f"missing problem fields: {missing}")
-        problem = cls(**doc)
-        problem.validated_metric()
-        return replace(problem, min_separation=float(problem.min_separation))
+        return cls(**doc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,7 +308,7 @@ def _anneal(problem: PackingProblem, metric: Metric):
 
 def solve(problem: PackingProblem) -> PackingResult:
     """Best family over all restarts; ties break to the lowest restart index."""
-    metric = problem.validated_metric()
+    metric = get_metric(problem.metric)
     values, reps, iterations, histories, counts = _anneal(problem, metric)
     best = int(np.argmax(values) if problem.objective == "maximin" else np.argmin(values))
     family = SubspaceFamily(

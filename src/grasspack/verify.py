@@ -5,7 +5,7 @@ The size bounds, in exact integer arithmetic, are in `bounds`."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,6 +21,15 @@ from .registry import get_metric
 EVAL_MATRIX_MAX = 50
 
 
+def _report_doc(report) -> dict:
+    """A report's fields in order as JSON, arrays as lists; a None eval_matrix is left out."""
+    keys = {"metric_id": "metric", "lam": "lambda"}
+    return {
+        keys.get(name, name): value.tolist() if isinstance(value, np.ndarray) else value
+        for name, value in asdict(report).items() if value is not None
+    }
+
+
 @dataclass(frozen=True)
 class EquiangularReport:
     """Outcome of a pairwise common-angle scan."""
@@ -32,15 +41,7 @@ class EquiangularReport:
     tolerance: float
     verdict: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric_id,
-            "pair_count": self.pair_count,
-            "common_value": self.common_value,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-        }
+    to_dict = _report_doc
 
 
 @dataclass(frozen=True)
@@ -53,14 +54,7 @@ class EquiisoclinicReport:
     tolerance: float
     verdict: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "pair_count": self.pair_count,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-        }
+    to_dict = _report_doc
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,30 +72,15 @@ class Certificate:
     m: int
     alpha: float
     lam: float
-    eval_matrix: np.ndarray | None
     diagonal_target: float
     max_diag_deviation: float
     max_offdiag: float
     bound: int
     tolerance: float
     verdict: bool
+    eval_matrix: np.ndarray | None  # last, so its JSON key comes last
 
-    def to_dict(self) -> dict:
-        doc = {
-            "m": self.m,
-            "alpha": self.alpha,
-            "lambda": self.lam,
-            "diagonal_target": self.diagonal_target,
-            "max_diag_deviation": self.max_diag_deviation,
-            "max_offdiag": self.max_offdiag,
-            "bound": self.bound,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-        }
-        # full matrix only at desk scale; summary stats always present
-        if self.eval_matrix is not None:
-            doc["eval_matrix"] = self.eval_matrix.tolist()
-        return doc
+    to_dict = _report_doc
 
 
 def check_equiangular(
@@ -228,11 +207,11 @@ def polynomial_certificate(
         m=m,
         alpha=alpha,
         lam=lam,
-        eval_matrix=None if rows is None else np.array(rows),
         diagonal_target=target,
         max_diag_deviation=max_diag_deviation,
         max_offdiag=max_offdiag,
         bound=bound,
         tolerance=scaled,
         verdict=verdict,
+        eval_matrix=None if rows is None else np.array(rows),
     )

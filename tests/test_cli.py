@@ -16,8 +16,10 @@ from grasspack.family_io import (
     parse_family_doc,
     save_family,
 )
+from grasspack.constructions import SubspaceFamily
 from grasspack.metrics import evaluate
 from grasspack.packing import perturb
+from grasspack.verify import check_equiisoclinic
 
 from _oracles import projection_matrix
 
@@ -108,6 +110,17 @@ def test_construct_plucker(tmp_path):
     }
 
 
+def test_construct_plucker_names_the_input_family_exit_2(tmp_path, lift_file, capsys):
+    # the k = 2 lift has Fubini-Study cosines 1/4 and 1/2, which no line set was given
+    out = tmp_path / "plucker.json"
+    assert main(["construct", "plucker", f"in={lift_file}", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: input family is not Fubini-Study-equiangular: "
+        "|det(U_i^T U_j)| spread 1.250e-01 exceeds 1.0e-08\n"
+    )
+    assert not out.exists()
+
+
 def test_construct_plucker_empty_family_exit_2(tmp_path, capsys):
     src = tmp_path / "empty.json"
     src.write_text(
@@ -142,11 +155,8 @@ def _first_members(path, count):
 
 def _reloaded_bytes(path) -> bytes:
     """The file's bytes after loading it and dumping what was loaded."""
-    doc = json.loads(path.read_text())
-    if doc["kind"] == "lines":
-        # common_cos is measured again on load, not copied from the file
-        extra = {key: value for key, value in doc["metadata"].items() if key != "common_cos"}
-        return dumps_json(lineset_to_doc(load_lineset(path), extra)).encode()
+    if json.loads(path.read_text())["kind"] == "lines":
+        return dumps_json(lineset_to_doc(load_lineset(path))).encode()
     return dumps_json(family_to_doc(load_family(path))).encode()
 
 
@@ -328,6 +338,54 @@ def test_verify_json_report(lift_file, capsys):
     assert doc["verdict"] is True
     assert doc["pair_count"] == 36
     assert doc["common_value"] == pytest.approx(np.pi / 3, abs=1e-9)
+
+
+# the coordinate axes of R^4 and R^51: every value below is reproducible to the bit
+PINNED_VERIFY = """{
+  "metric": "theta_k",
+  "pair_count": 6,
+  "common_value": 1.5707963267948966,
+  "max_deviation": 0,
+  "tolerance": 1e-08,
+  "verdict": true
+}
+"""
+PINNED_CERTIFY_HEAD = """{
+  "m": %d,
+  "alpha": 1.5707963267948966,
+  "lambda": 3.749399456654644e-33,
+  "diagonal_target": 1,
+  "max_diag_deviation": 0,
+  "max_offdiag": 3.74939945665467e-33,
+  "bound": %d,
+  "tolerance": 2e-08,
+  "verdict": true"""
+PINNED_EVAL_MATRIX = """,
+  "eval_matrix": [
+    [1, -3.74939945665467e-33, -3.74939945665467e-33, -3.74939945665467e-33],
+    [-3.74939945665467e-33, 1, -3.74939945665467e-33, -3.74939945665467e-33],
+    [-3.74939945665467e-33, -3.74939945665467e-33, 1, -3.74939945665467e-33],
+    [-3.74939945665467e-33, -3.74939945665467e-33, -3.74939945665467e-33, 1]
+  ]
+}
+"""
+
+
+def test_report_json_bytes_are_pinned(tmp_path, capsys):
+    axes4, axes51 = tmp_path / "axes4.json", tmp_path / "axes51.json"
+    assert main(["construct", "orthonormal-lines", "n=4", "-o", str(axes4)]) == 0
+    assert main(["construct", "orthonormal-lines", "n=51", "-o", str(axes51)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(axes4), "thetaK", "--format", "json"]) == 0
+    assert capsys.readouterr().out == PINNED_VERIFY
+    alpha = repr(math.pi / 2)
+    assert main(["certify", str(axes4), "--alpha", alpha, "--format", "json"]) == 0
+    assert capsys.readouterr().out == PINNED_CERTIFY_HEAD % (4, 10) + PINNED_EVAL_MATRIX
+    # beyond 50 members the certificate leaves its evaluation matrix out
+    assert main(["certify", str(axes51), "--alpha", alpha, "--format", "json"]) == 0
+    assert capsys.readouterr().out == PINNED_CERTIFY_HEAD % (51, 1326) + "\n}\n"
+    report = check_equiisoclinic(SubspaceFamily(np.stack([np.eye(4)[:, :2], np.eye(4)[:, 2:]])))
+    assert list(report.to_dict()) == ["lambda", "pair_count", "max_deviation", "tolerance", "verdict"]
 
 
 def test_certify_lift_family(lift_file, capsys):
@@ -736,3 +794,33 @@ def test_lines_catalog(capsys):
 
 def test_missing_file_exit_2(tmp_path):
     assert main(["verify", str(tmp_path / "nope.json"), "thetaK"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["construct", "simplex-lines", "n=3", "-o", "{missing}"],
+        ["complement", "{lift}", "-o", "{missing}"],
+        ["pack", "{problem}", "-o", "{missing}", "--history", "{history}"],
+        ["pack", "{problem}", "-o", "{result}", "--history", "{missing}"],
+    ],
+    ids=["construct", "complement", "pack-out", "pack-history"],
+)
+def test_unwritable_output_exit_2(tmp_path, lift_file, command, capsys):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"k": 1, "n": 2, "m": 3, "metric": "thetaK", "restarts": 1, "max_iters": 20}))
+    paths = {
+        "missing": tmp_path / "no-such-dir" / "out.json",
+        "lift": lift_file,
+        "problem": problem,
+        "history": tmp_path / "history.csv",
+        "result": tmp_path / "result.json",
+    }
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(paths["missing"]) in err
+    # the result is written before the history, as before
+    assert paths["result"].exists() == ("{result}" in command)
+    assert not paths["history"].exists()

@@ -113,6 +113,25 @@ def test_lineset_keeps_no_tolerance():
     assert LineSet(vectors, 1e-8).common_cos == pytest.approx(0.5, abs=1e-8)
 
 
+def test_lineset_keeps_a_copy_of_its_metadata():
+    given = {"common_cos": 0.9, "note": "x"}
+    lines = LineSet(simplex_lines(3).vectors, metadata=given)
+    assert lines.metadata == {"note": "x"}  # common_cos is measured, not kept
+    given["note"] = "y"
+    assert lines.metadata == {"note": "x"}
+    assert LineSet(np.eye(2)).metadata == {}
+
+
+def test_line_constructions_record_their_metadata():
+    planes = SubspaceFamily(np.stack([np.eye(4)[:, :2], np.eye(4)[:, 2:]]))
+    assert simplex_lines(3).metadata == {"construction": "simplex-lines", "n": 3}
+    assert icosahedral_lines().metadata == {"construction": "icosahedral-lines"}
+    assert orthonormal_lines(4).metadata == {"construction": "orthonormal-lines", "n": 4}
+    assert plucker_line_family(planes).metadata == {
+        "construction": "plucker", "source_k": 2, "source_n": 4
+    }
+
+
 def test_lift_rejects_vanishing_angle():
     t = 1e-5  # cos(t) is within the lift's 1e-9 floor of a zero angle
     vectors = np.array([[1.0, 0.0], [np.cos(t), np.sin(t)]])
@@ -315,6 +334,16 @@ def test_plucker_line_family_orthogonal_planes():
     assert lines.size == 2
     assert lines.n == 6
     assert lines.common_cos == pytest.approx(0.0, abs=1e-12)
+
+
+def test_plucker_line_family_names_the_input_family():
+    family = lift_lines_to_subspaces(simplex_lines(2), 2)  # FS cosines 1/4 and 1/2
+    with pytest.raises(NotEquiangularError) as caught:
+        plucker_line_family(family)
+    assert str(caught.value) == (
+        "input family is not Fubini-Study-equiangular: "
+        "|det(U_i^T U_j)| spread 1.250e-01 exceeds 1.0e-08"
+    )
 
 
 def test_plucker_line_family_rejects_empty_family():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from grasspack.constructions import lift_lines_to_subspaces, simplex_lines
+from grasspack.constructions import SubspaceFamily, lift_lines_to_subspaces, simplex_lines
 from grasspack.errors import ParseError
 from grasspack.family_io import (
     dumps_json,
@@ -107,6 +107,15 @@ def test_lines_round_trip(tmp_path, lines):
     assert back.common_cos == pytest.approx(lines.common_cos, abs=1e-15)
 
 
+def test_lines_file_round_trips_its_metadata(tmp_path, lines):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_lineset(first, lines)
+    metadata = json.loads(first.read_text())["metadata"]
+    assert metadata == {"common_cos": lines.common_cos, "construction": "simplex-lines", "n": 3}
+    save_lineset(second, load_lineset(first))
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_family_round_trip_reproduces_projectors(tmp_path, family):
     path = tmp_path / "family.json"
     save_family(path, family)
@@ -128,7 +137,7 @@ def test_lines_file_loads_as_gr1_family(tmp_path, lines):
 
 def test_metadata_preserved(tmp_path, family):
     path = tmp_path / "family.json"
-    save_family(path, family, metadata={"note": "hello"})
+    save_family(path, SubspaceFamily(family.reps, dict(family.metadata, note="hello")))
     back = load_family(path)
     assert back.metadata["note"] == "hello"
     assert back.metadata["construction"] == "lift"

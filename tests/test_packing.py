@@ -1,5 +1,6 @@
 """Annealing optimizer: determinism, feasibility, known small optima."""
 
+import dataclasses
 import json
 import math
 
@@ -35,30 +36,39 @@ def small_problem(**overrides):
 
 def test_invalid_problems_rejected():
     with pytest.raises(InvalidProblemError):
-        small_problem(m=1).validated_metric()
+        small_problem(m=1)
     with pytest.raises(InvalidProblemError):
-        small_problem(k=3, n=2).validated_metric()
+        small_problem(k=3, n=2)
     # Gr(n, n) has one member, so any two coincide
     with pytest.raises(InvalidProblemError, match="need 1 <= k < n"):
-        small_problem(k=2, n=2).validated_metric()
+        small_problem(k=2, n=2)
     with pytest.raises(InvalidProblemError):
-        small_problem(metric="spectral").validated_metric()
+        small_problem(metric="spectral")
     with pytest.raises(InvalidProblemError):
-        small_problem(objective="minimax").validated_metric()
+        small_problem(objective="minimax")
     with pytest.raises(InvalidProblemError):
-        small_problem(restarts=0).validated_metric()
+        small_problem(restarts=0)
     # theta_1 maximin is degenerate once subspaces must intersect
     with pytest.raises(InvalidProblemError):
-        PackingProblem(k=2, n=3, m=3, metric="theta1").validated_metric()
+        PackingProblem(k=2, n=3, m=3, metric="theta1")
     # but fine when 2k <= n
-    PackingProblem(k=1, n=3, m=3, metric="theta1").validated_metric()
+    PackingProblem(k=1, n=3, m=3, metric="theta1")
+
+
+def test_problem_checks_itself_when_made():
+    assert not hasattr(PackingProblem, "validated_metric")
+    with pytest.raises(InvalidProblemError, match="need m >= 2"):
+        dataclasses.replace(small_problem(), m=1)
+    problem = PackingProblem(k=1, n=2, m=3, metric="thetaK", min_separation=1)
+    assert type(problem.min_separation) is float and problem.min_separation == 1.0
+    assert type(dataclasses.replace(problem, min_separation=0).min_separation) is float
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 @pytest.mark.parametrize("field", ["min_separation"])
 def test_non_finite_float_fields_rejected(field, bad):
     with pytest.raises(InvalidProblemError, match=f"{field} must be finite"):
-        small_problem(**{field: bad}).validated_metric()
+        small_problem(**{field: bad})
     doc = dict(small_problem().to_dict(), **{field: bad})
     with pytest.raises(InvalidProblemError, match=f"{field} must be finite"):
         PackingProblem.from_dict(doc)
@@ -102,10 +112,9 @@ def test_from_dict_requires_json_types(field, value):
     "field, value", [("m", 3.5), ("k", True), ("restarts", "2")], ids=["m-float", "k-bool", "restarts-str"]
 )
 def test_python_problems_require_json_types(field, value):
-    # problems built in Python skip from_dict; solve runs the same type check
-    problem = small_problem(**{"restarts": 1, "max_iters": 50, field: value})
+    # problems built in Python skip from_dict but get the same type check when made
     with pytest.raises(InvalidProblemError, match=f"bad problem field value: {field} must be"):
-        solve(problem)
+        small_problem(**{"restarts": 1, "max_iters": 50, field: value})
 
 
 def test_from_dict_accepts_json_types():
