@@ -6,7 +6,8 @@ verdict false, 2 for usage, parse, or precondition errors.
 
 Only the stdlib and the numpy-free `bounds`, `errors` and `registry` load at
 start; each command imports the numerical modules it calls, so `bounds`,
-`lines-catalog`, `--help` and usage errors run without numpy.
+`lines-catalog`, `--help` and usage errors run without numpy, and without
+`dataclasses` or `inspect`.
 """
 
 from __future__ import annotations

@@ -3,7 +3,10 @@
 Files carry schema_version "1", a kind ("lines" or "subspaces"), the (n, k)
 shape, the members as row-major nested lists, and a free-form metadata map.
 Floats are emitted with 17 significant digits and -0.0 as ``-0.0``, so
-writing and re-reading a file reproduces every double bit-for-bit.
+writing and re-reading a file reproduces every double bit-for-bit.  A float
+with an integral value is written as a JSON integer (``1``, ``0``); the
+parser reads the members as floats, so such an entry loads back as the same
+double.
 """
 
 from __future__ import annotations

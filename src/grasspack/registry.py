@@ -2,23 +2,23 @@
 
 It imports no numpy, so the CLI can list the metric names in its help text
 without loading the numerical modules; the evaluators are in `metrics`.
+`Metric` is a `collections.namedtuple`, not a dataclass: `dataclasses`
+imports `inspect` (and with it `ast`, `dis` and `tokenize`), which every
+printing command (`bounds`, `lines-catalog`, `--help`) would then load at
+start-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import UnknownMetricError
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(namedtuple("Metric", "id cli_name is_angle_distance is_proper")):
     """Registry entry: identifier plus the classification flags."""
 
-    id: str
-    cli_name: str
-    is_angle_distance: bool
-    is_proper: bool
+    __slots__ = ()
 
 
 THETA_1 = Metric("theta_1", "theta1", is_angle_distance=True, is_proper=False)

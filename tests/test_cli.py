@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +43,13 @@ def test_construct_simplex_lines(lines_file):
     lines = load_lineset(lines_file)
     assert lines.size == 3
     assert lines.common_cos == pytest.approx(0.5, abs=1e-12)
+
+
+def test_readme_family_file_example_is_what_construct_writes(lines_file):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## FamilyFile JSON\n", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert example == lines_file.read_text()
 
 
 def test_construct_icosahedral_and_orthonormal(tmp_path):

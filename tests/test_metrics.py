@@ -23,6 +23,7 @@ from grasspack.registry import (
     THETA_1,
     THETA_F,
     THETA_K,
+    Metric,
     get_metric,
 )
 
@@ -34,6 +35,30 @@ def test_registry_flags():
     assert angle_ids == {"theta_1", "theta_F", "theta_k"}
     improper = {m.id for m in METRICS.values() if not m.is_proper}
     assert improper == {"theta_1"}
+
+
+def test_metric_entries_behave_as_values():
+    reprs = {
+        THETA_1: "Metric(id='theta_1', cli_name='theta1', is_angle_distance=True, is_proper=False)",
+        THETA_F: "Metric(id='theta_F', cli_name='thetaF', is_angle_distance=True, is_proper=True)",
+        THETA_K: "Metric(id='theta_k', cli_name='thetaK', is_angle_distance=True, is_proper=True)",
+        CHORDAL: "Metric(id='chordal', cli_name='chordal', is_angle_distance=False, is_proper=True)",
+        GEODESIC: "Metric(id='geodesic', cli_name='geodesic', is_angle_distance=False, is_proper=True)",
+        FUBINI_STUDY: (
+            "Metric(id='fubini_study', cli_name='fubini-study', "
+            "is_angle_distance=False, is_proper=True)"
+        ),
+    }
+    assert list(reprs) == list(METRICS.values())
+    for metric, text in reprs.items():
+        assert repr(metric) == text
+        assert get_metric(metric) is metric
+        assert METRICS[metric.id] is metric
+        with pytest.raises(AttributeError):
+            metric.id = "other"
+    made = Metric(id="theta_F", cli_name="thetaF", is_angle_distance=True, is_proper=True)
+    assert made == THETA_F and hash(made) == hash(THETA_F)
+    assert reprs[made] == reprs[THETA_F]
 
 
 def test_get_metric_accepts_both_names():

@@ -2,7 +2,9 @@
 
 The package exports its names lazily and the CLI imports the numerical
 modules inside the commands that call them, so the commands that only print
-(`bounds`, `lines-catalog`, `--help`, usage errors) start without numpy.
+(`bounds`, `lines-catalog`, `--help`, usage errors) start without numpy, and
+without `dataclasses` or `inspect`, since the metric registry's `Metric` is a
+namedtuple.
 The checks run in fresh interpreters, where nothing else has loaded a
 module yet.
 """
@@ -23,8 +25,10 @@ from grasspack.cli import main
 SRC = str(Path(grasspack.__file__).resolve().parents[1])
 
 # Runs each argv list of argv[2] (JSON) through cli.main and prints one JSON
-# list of [stdout, stderr, exit code]; with argv[1] == "block" any import of
-# numpy raises ImportError, which main does not catch.
+# list of [stdout, stderr, exit code] per command, then one JSON list naming
+# which of `dataclasses` and `inspect` are loaded after them; with
+# argv[1] == "block" any import of numpy raises ImportError, which main does
+# not catch.
 RUN_COMMANDS = """
 import contextlib, io, json, sys
 if sys.argv[1] == "block":
@@ -40,6 +44,7 @@ for argv in json.loads(sys.argv[2]):
             code = exc.code
     results.append([out.getvalue(), err.getvalue(), code])
 print(json.dumps(results))
+print(json.dumps([m for m in ("dataclasses", "inspect") if m in sys.modules]))
 """
 
 # Runs one command and prints, as its last stdout line, the exit code and the
@@ -129,11 +134,13 @@ def test_printing_commands_run_without_numpy():
         ["distance", "--help"],
         ["construct", "nosuch", "-o", "x"],
     ]
-    runs = {
-        mode: json.loads(_python("-c", RUN_COMMANDS, mode, json.dumps(commands)).stdout)
-        for mode in ("block", "allow")
-    }
+    runs, loaded = {}, {}
+    for mode in ("block", "allow"):
+        lines = _python("-c", RUN_COMMANDS, mode, json.dumps(commands)).stdout.splitlines()
+        runs[mode], loaded[mode] = map(json.loads, lines)
     assert runs["block"] == runs["allow"]
+    # typing is not checked: the interpreter's site hook may preload it.
+    assert loaded == {"block": [], "allow": []}
     assert [code for _, _, code in runs["block"]] == [0, 0, 0, 0, 0, 0, 0, 2]
     assert json.loads(runs["block"][4][0])["bounds"]["angle-distance"] == 55
     assert "invalid choice: 'nosuch'" in runs["block"][-1][1]
