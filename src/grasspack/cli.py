@@ -30,27 +30,6 @@ from .bounds import (
 from .errors import BadParamsError, GrasspackError, IndexOutOfRangeError
 from .registry import METRICS, get_metric
 
-LINE_CATALOG = (
-    {
-        "kind": "simplex-lines",
-        "ambient": "n >= 2",
-        "size": "n + 1",
-        "common_cos": "1/n",
-    },
-    {
-        "kind": "icosahedral-lines",
-        "ambient": "n = 3",
-        "size": "6",
-        "common_cos": "1/sqrt(5)",
-    },
-    {
-        "kind": "orthonormal-lines",
-        "ambient": "n >= 1",
-        "size": "n",
-        "common_cos": "0",
-    },
-)
-
 
 def _tolerances(args) -> float:
     """The eps_angle that --tol sets (EPS_ANGLE when absent)."""
@@ -90,13 +69,10 @@ def _parse_params(tokens: list[str], allowed: dict[str, type]) -> dict:
             params[key] = allowed[key](raw)
         except ValueError:
             raise BadParamsError(f"bad value for {key}: {raw!r}") from None
-    return params
-
-
-def _require(params: dict, *names: str) -> None:
-    missing = [name for name in names if name not in params]
+    missing = [key for key in allowed if key not in params]
     if missing:
         raise BadParamsError(f"missing parameters: {missing}")
+    return params
 
 
 def cmd_angles(args) -> int:
@@ -159,71 +135,51 @@ def cmd_verify(args) -> int:
     return 0 if report.verdict else 1
 
 
-def _simplex_lines(params: dict):
-    from .constructions import simplex_lines
-
-    return simplex_lines(params["n"])
-
-
-def _icosahedral_lines(params: dict):
-    from .constructions import icosahedral_lines
-
-    return icosahedral_lines()
-
-
-def _orthonormal_lines(params: dict):
-    from .constructions import orthonormal_lines
-
-    return orthonormal_lines(params["n"])
-
-
-def _lift(params: dict):
-    from .constructions import lift_lines_to_subspaces
-    from .family_io import load_lineset
-
-    return lift_lines_to_subspaces(load_lineset(params["in"]), params["k"])
-
-
-def _chordal_lift(params: dict):
-    from .constructions import chordal_lift
-    from .family_io import load_family
-
-    return chordal_lift(load_family(params["in"]))
-
-
-def _plucker(params: dict):
-    from .constructions import plucker_line_family
-    from .family_io import load_family
-
-    return plucker_line_family(load_family(params["in"]))
-
-
 # kind -> (its key=value parameters, all required, with their types; a builder
-# from the parsed parameters to the LineSet or SubspaceFamily it writes)
+# that takes the constructions and family_io modules and the parsed parameters
+# and returns the LineSet or SubspaceFamily to write; for a built-in line set,
+# its lines-catalog row)
 CONSTRUCTIONS = {
-    "simplex-lines": ({"n": int}, _simplex_lines),
-    "icosahedral-lines": ({}, _icosahedral_lines),
-    "orthonormal-lines": ({"n": int}, _orthonormal_lines),
-    "lift": ({"k": int, "in": str}, _lift),
-    "chordal-lift": ({"in": str}, _chordal_lift),
-    "plucker": ({"in": str}, _plucker),
+    "simplex-lines": (
+        {"n": int},
+        lambda c, io, p: c.simplex_lines(p["n"]),
+        {"ambient": "n >= 2", "size": "n + 1", "common_cos": "1/n"},
+    ),
+    "icosahedral-lines": (
+        {},
+        lambda c, io, p: c.icosahedral_lines(),
+        {"ambient": "n = 3", "size": "6", "common_cos": "1/sqrt(5)"},
+    ),
+    "orthonormal-lines": (
+        {"n": int},
+        lambda c, io, p: c.orthonormal_lines(p["n"]),
+        {"ambient": "n >= 1", "size": "n", "common_cos": "0"},
+    ),
+    "lift": (
+        {"k": int, "in": str},
+        lambda c, io, p: c.lift_lines_to_subspaces(io.load_lineset(p["in"]), p["k"]),
+        None,
+    ),
+    "chordal-lift": ({"in": str}, lambda c, io, p: c.chordal_lift(io.load_family(p["in"])), None),
+    "plucker": ({"in": str}, lambda c, io, p: c.plucker_line_family(io.load_family(p["in"])), None),
 }
+
+LINE_CATALOG = tuple(
+    {"kind": kind, **row} for kind, (_, _, row) in CONSTRUCTIONS.items() if row is not None
+)
 
 
 def cmd_construct(args) -> int:
-    from .constructions import LineSet
-    from .family_io import save_family, save_lineset
+    from . import constructions, family_io
 
-    types, build = CONSTRUCTIONS[args.kind]
-    params = _parse_params(args.params, types)
-    _require(params, *types)
-    made = build(params)
+    types, build, _ = CONSTRUCTIONS[args.kind]
+    made = build(constructions, family_io, _parse_params(args.params, types))
     out = Path(args.out)
-    if isinstance(made, LineSet):
-        save_lineset(out, made)
+    if isinstance(made, constructions.LineSet):
+        family_io.save_lineset(out, made)
         summary = f"{made.size} lines in R^{made.n}"
     else:
-        save_family(out, made)
+        family_io.save_family(out, made)
         summary = f"{len(made)} subspaces in Gr({made.k},{made.n})"
     print(f"wrote {summary} to {out}")
     return 0

@@ -98,17 +98,20 @@ class SubspaceFamily:
     metadata  free-form map written to the family's file; its "provenance"
               entry says how the family was made
 
-    Construction checks each member orthonormal within EPS_ORTH and no two
-    members coincident.  `family[i]`, a slice and iteration build each member
-    they give as a Subspace of its own read-only copy of reps[i].
+    Construction checks that reps is an (m, n, k) stack with n, k >= 1, each
+    member orthonormal within EPS_ORTH and no two members coincident.
+    `family[i]`, a slice and iteration build each member they give as a
+    Subspace of its own read-only copy of reps[i].
     """
 
     reps: np.ndarray
     metadata: dict | None = None
 
     def __post_init__(self) -> None:
-        # a k > n stack or a NaN fails orthonormality
         reps = np.array(self.reps, dtype=float)
+        # m = 0 is allowed; a k > n stack or a NaN fails orthonormality
+        if reps.ndim != 3 or 0 in reps.shape[1:]:
+            raise ValueError(f"expected an (m, n, k) stack, got shape {reps.shape}")
         _, _, k = reps.shape
         err = orthonormality_residuals(reps)
         if not (err <= EPS_ORTH).all():

@@ -199,11 +199,19 @@ def test_complement_and_pack_files_reload_to_the_same_bytes(tmp_path, lift_file)
     assert dumps_json(doc).encode() == result.read_bytes()
 
 
-def test_construct_bad_params_exit_2(tmp_path):
+def test_construct_bad_params_exit_2(tmp_path, capsys):
     out = tmp_path / "x.json"
-    assert main(["construct", "simplex-lines", "-o", str(out)]) == 2  # n missing
-    assert main(["construct", "simplex-lines", "n=abc", "-o", str(out)]) == 2
-    assert main(["construct", "simplex-lines", "n=2", "m=1", "-o", str(out)]) == 2
+    cases = [
+        (["simplex-lines"], "missing parameters: ['n']"),
+        (["lift"], "missing parameters: ['k', 'in']"),
+        (["simplex-lines", "n=abc"], "bad value for n: 'abc'"),
+        (["simplex-lines", "n=2", "m=1"], "unknown parameter 'm'; allowed: ['n']"),
+        (["simplex-lines", "n"], "expected key=value, got 'n'"),
+    ]
+    for params, message in cases:
+        assert main(["construct", *params, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_construct_repeated_param_exit_2(tmp_path, capsys):

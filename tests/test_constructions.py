@@ -413,6 +413,25 @@ def test_family_rejects_duplicates():
         SubspaceFamily(np.stack([m.rep for m in members]))
 
 
+PLANES = np.eye(3)[:, :2]
+
+
+@pytest.mark.parametrize(
+    "reps, message",
+    [
+        (np.zeros((3, 2)), r"expected an \(m, n, k\) stack, got shape \(3, 2\)"),
+        (np.zeros((2, 3, 2, 1)), r"expected an \(m, n, k\) stack, got shape \(2, 3, 2, 1\)"),
+        (np.zeros((2, 3, 0)), r"expected an \(m, n, k\) stack, got shape \(2, 3, 0\)"),
+        (np.zeros((2, 0, 1)), r"expected an \(m, n, k\) stack, got shape \(2, 0, 1\)"),
+        (np.stack([PLANES, 2 * PLANES]), r"member 1: representative is not orthonormal \(residual 3.000e\+00\)"),
+    ],
+    ids=["2d", "4d", "k0", "n0", "not-orthonormal"],
+)
+def test_family_rejects_a_malformed_stack(reps, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SubspaceFamily(reps)
+
+
 def test_family_reps_are_read_only():
     family = lift_lines_to_subspaces(simplex_lines(2), 2)
     assert family.reps.shape == (len(family), family.n, family.k)

@@ -205,6 +205,24 @@ def test_boolean_shape_rejected(shape):
         parse_family_doc(doc)
 
 
+LINE_DOC = {"schema_version": "1", "kind": "lines", "n": 2, "k": 1, "members": [[1.0, 0.0]], "metadata": {}}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "family file must contain a JSON object"),
+        (dict(LINE_DOC, kind="subspaces", k=3), "need k <= n, got k=3, n=2"),
+        (dict(LINE_DOC, members={}), "members must be a list"),
+        (dict(LINE_DOC, metadata=[]), "metadata must be an object"),
+    ],
+    ids=["not-object", "k-above-n", "members-object", "metadata-list"],
+)
+def test_malformed_doc_rejected(doc, message):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_family_doc(doc)
+
+
 @pytest.mark.parametrize(
     "member", [["1", "0"], [True, False], [1.0, True], [0.0, "1e0"], [0.0, 10**400]]
 )

@@ -48,6 +48,8 @@ def test_invalid_problems_rejected():
         small_problem(objective="minimax")
     with pytest.raises(InvalidProblemError):
         small_problem(restarts=0)
+    with pytest.raises(InvalidProblemError, match="^min_separation must be >= 0$"):
+        small_problem(min_separation=-1)
     # theta_1 maximin is degenerate once subspaces must intersect
     with pytest.raises(InvalidProblemError):
         PackingProblem(k=2, n=3, m=3, metric="theta1")
@@ -86,6 +88,8 @@ def test_from_dict_round_trip_and_validation():
         )
     with pytest.raises(InvalidProblemError, match="bad problem field value"):
         PackingProblem.from_dict({"k": 1, "n": 2, "m": 3, "metric": "thetaK", "restarts": 1e400})
+    with pytest.raises(InvalidProblemError, match="^packing problem must be a JSON object$"):
+        PackingProblem.from_dict([])
 
 
 @pytest.mark.parametrize(

@@ -217,6 +217,11 @@ def test_certificate_single_member():
     assert cert.eval_matrix[0, 0] == pytest.approx(0.5625, abs=1e-10)
 
 
+def test_certificate_needs_a_member():
+    with pytest.raises(FamilyTooSmallError, match="^certificate needs at least one member$"):
+        polynomial_certificate(SubspaceFamily(np.empty((0, 4, 2))), np.pi / 3)
+
+
 def test_certificate_simplex_lines_tight(simplex_family):
     cert = polynomial_certificate(simplex_family, np.pi / 3)
     assert cert.verdict

@@ -1,0 +1,220 @@
+"""Run a fixed sweep of grasspack CLI commands and record what each one does.
+
+    python tools/cli_sweep.py SRC OUT.json
+    python tools/cli_sweep.py --compare A.json B.json
+
+The first form runs every command of COMMANDS, in order, as
+`python -m grasspack.cli ...` in a fresh temporary directory, with
+PYTHONPATH=SRC (a checkout's `src/`) and OPENBLAS_NUM_THREADS=1.  For each
+command it records the exit code, stdout, stderr and the SHA-256 of every
+file the command wrote or changed, and writes them all to OUT.json.  Every
+path in the sweep is relative to the temporary directory, so two source
+trees that behave alike give identical records.
+
+The second form compares two such records, prints each command whose exit
+code, output or written files differ, and exits 1 if any do (0 otherwise).
+Run it on two checkouts to check that a change keeps the CLI's behaviour
+byte for byte.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+METRICS = ("theta1", "thetaF", "thetaK", "chordal", "geodesic", "fubini-study")
+FORMATS = ((), ("--format", "json"))
+PI_3 = "1.0471975511965976"
+
+# Inputs the sweep writes itself before the first command: two orthogonal
+# planes in R^4 (a Fubini-Study-equiangular family for `plucker`), an empty
+# family, a file that is not JSON and three packing problems.
+INPUTS = {
+    "planes.json": {
+        "schema_version": "1", "kind": "subspaces", "n": 4, "k": 2, "metadata": {},
+        "members": [
+            [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+        ],
+    },
+    "empty.json": {"schema_version": "1", "kind": "subspaces", "n": 4, "k": 2, "members": []},
+    "lines-problem.json": {
+        "k": 1, "n": 2, "m": 3, "metric": "thetaK", "seed": 3, "restarts": 2, "max_iters": 300,
+    },
+    "planes-problem.json": {
+        "k": 2, "n": 4, "m": 4, "metric": "chordal", "objective": "equiangular_variance",
+        "min_separation": 0.3, "seed": 1, "restarts": 2, "max_iters": 300,
+    },
+    "bad-problem.json": {"k": 1, "n": 2, "m": 1, "metric": "thetaK"},
+}
+NOT_JSON = "not-json.json"
+
+
+def _commands() -> list[list[str]]:
+    commands = [
+        # every construct kind; the files feed the commands below
+        ["construct", "simplex-lines", "n=2", "-o", "lines.json"],
+        ["construct", "simplex-lines", "n=3", "-o", "lines3.json"],
+        ["construct", "icosahedral-lines", "-o", "ico.json"],
+        ["construct", "orthonormal-lines", "n=4", "-o", "ortho.json"],
+        ["construct", "lift", "k=2", "in=lines.json", "-o", "lift.json"],
+        ["construct", "lift", "k=3", "in=lines3.json", "-o", "lift3.json"],
+        ["construct", "lift", "k=2", "in=ico.json", "-o", "liftico.json"],
+        ["construct", "chordal-lift", "in=lift.json", "-o", "chordal.json"],
+        ["construct", "plucker", "in=planes.json", "-o", "plucker.json"],
+        ["complement", "lift.json", "-o", "comp.json"],
+        ["complement", "chordal.json", "-o", "compchordal.json"],
+        ["complement", "lift3.json", "-o", "comp3.json"],
+        # construct errors: bad, missing, repeated, unknown and malformed
+        # parameters, an unknown kind, bad inputs
+        ["construct", "simplex-lines", "n=abc", "-o", "x.json"],
+        ["construct", "simplex-lines", "-o", "x.json"],
+        ["construct", "lift", "-o", "x.json"],
+        ["construct", "lift", "k=2", "-o", "x.json"],
+        ["construct", "simplex-lines", "n=3", "n=5", "-o", "x.json"],
+        ["construct", "simplex-lines", "n=2", "m=1", "-o", "x.json"],
+        ["construct", "icosahedral-lines", "n=3", "-o", "x.json"],
+        ["construct", "simplex-lines", "n", "-o", "x.json"],
+        ["construct", "simplex-lines", "n=1", "-o", "x.json"],
+        ["construct", "orthonormal-lines", "n=0", "-o", "x.json"],
+        ["construct", "nosuch", "-o", "x.json"],
+        ["construct", "lift", "k=2", "in=nosuch.json", "-o", "x.json"],
+        ["construct", "lift", "k=2", "in=lift.json", "-o", "x.json"],
+        ["construct", "chordal-lift", f"in={NOT_JSON}", "-o", "x.json"],
+        ["construct", "plucker", "in=lift.json", "-o", "x.json"],
+        ["construct", "plucker", "in=empty.json", "-o", "x.json"],
+        ["construct", "simplex-lines", "n=2", "-o", "missing-dir/x.json"],
+        ["construct", "simplex-lines", "n=2"],
+    ]
+    # angles, distance and verify under every metric, in text and JSON, on a
+    # line file, a lift, a chordal lift and a complement
+    for name in ("lines.json", "lift.json", "chordal.json", "comp.json"):
+        for fmt in FORMATS:
+            commands.append(["angles", name, "0", "1", *fmt])
+            for metric in METRICS:
+                commands.append(["distance", name, metric, "0", "1", *fmt])
+                commands.append(["verify", name, metric, *fmt])
+    commands += [
+        ["angles", "lift.json", "0", "4"],
+        ["angles", "lift.json", "0", "9"],
+        ["distance", "lift.json", "thetaF", "0", "4", "--tol", "1e-6"],
+        ["distance", "lift.json", "thetaF", "0", "4", "--tol", "0.5"],
+        ["distance", "lift.json", "spectral", "0", "4"],
+        ["verify", "lift3.json", "thetaF", "--format", "json"],
+        ["verify", "comp3.json", "thetaF"],
+        ["verify", "liftico.json", "chordal", "--tolerance", "0"],
+        ["verify", "lift.json", "thetaF", "--tolerance", "nan"],
+        ["verify", "empty.json", "thetaF"],
+        ["verify", "nosuch.json", "thetaF"],
+        ["verify", NOT_JSON, "thetaF"],
+        ["angles", "lift.json", "0", "1", "--tol", "1e-6"],
+        # certify: pass, fail and bad alphas
+        ["certify", "lift.json", "--alpha", PI_3],
+        ["certify", "lift.json", "--alpha", PI_3, "--format", "json"],
+        ["certify", "lift.json", "--alpha", "1.0"],
+        ["certify", "lift.json", "--alpha", "1.0", "--format", "json"],
+        ["certify", "lines.json", "--alpha", PI_3, "--format", "json"],
+        ["certify", "comp.json", "--alpha", PI_3],
+        ["certify", "ortho.json", "--alpha", "1.5707963267948966", "--format", "json"],
+        ["certify", "lift.json", "--alpha", "0"],
+        ["certify", "lift.json", "--alpha", "2"],
+        ["certify", "empty.json", "--alpha", PI_3],
+        # bounds at four shapes and one bad one, the catalog, help and usage
+        *(["bounds", k, n, *fmt] for k, n in (("1", "7"), ("2", "4"), ("2", "6"), ("3", "9"))
+          for fmt in FORMATS),
+        ["bounds", "3", "2"],
+        ["lines-catalog"],
+        ["lines-catalog", "--format", "json"],
+        ["--help"],
+        ["construct", "--help"],
+        ["distance", "--help"],
+        [],
+        ["complement", "lift.json", "-o", "comp.json", "--format", "json"],
+        # pack: two small runs with a history, a bad problem, an unwritable -o
+        ["pack", "lines-problem.json", "-o", "lines-result.json", "--history", "lines.csv"],
+        ["pack", "planes-problem.json", "--history", "planes.csv"],
+        ["pack", "bad-problem.json", "-o", "bad-result.json"],
+        ["pack", "lines-problem.json", "-o", "missing-dir/result.json"],
+        ["verify", "planes-problem.result.json", "chordal"],
+    ]
+    return commands
+
+
+def _hashes(root: Path) -> dict[str, str]:
+    return {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def sweep(src: Path) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()), OPENBLAS_NUM_THREADS="1", COLUMNS="80")
+    records = []
+    with tempfile.TemporaryDirectory(prefix="cli-sweep-") as tmp:
+        root = Path(tmp)
+        for name, doc in INPUTS.items():
+            (root / name).write_text(json.dumps(doc), encoding="utf-8")
+        (root / NOT_JSON).write_text("{not json", encoding="utf-8")
+        for argv in _commands():
+            before = _hashes(root)
+            proc = subprocess.run(
+                [sys.executable, "-m", "grasspack.cli", *argv],
+                cwd=root, env=env, capture_output=True, text=True, timeout=300,
+            )
+            after = _hashes(root)
+            records.append({
+                "argv": argv,
+                "exit": proc.returncode,
+                "stdout": proc.stdout,
+                "stderr": proc.stderr,
+                "files": {name: digest for name, digest in after.items() if before.get(name) != digest},
+            })
+    return records
+
+
+def compare(a: list[dict], b: list[dict]) -> int:
+    """Print every command whose records differ; return how many do."""
+    keyed_b = {json.dumps(record["argv"]): record for record in b}
+    differing = 0
+    for record in a:
+        key = json.dumps(record["argv"])
+        other = keyed_b.pop(key, None)
+        if other is None:
+            fields = ["missing from the second sweep"]
+        else:
+            fields = [field for field in ("exit", "stdout", "stderr", "files") if record[field] != other[field]]
+        if fields:
+            differing += 1
+            print(f"{' '.join(record['argv']) or '(no arguments)'}: {', '.join(fields)}")
+    for key in keyed_b:
+        differing += 1
+        print(f"{' '.join(json.loads(key)) or '(no arguments)'}: missing from the first sweep")
+    return differing
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", action="store_true", help="compare two sweep records")
+    parser.add_argument("first", help="SRC directory to sweep, or the first record with --compare")
+    parser.add_argument("second", help="OUT.json to write, or the second record with --compare")
+    args = parser.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(Path(path).read_text(encoding="utf-8")) for path in (args.first, args.second))
+        differing = compare(a, b)
+        print(f"{differing} of {len(a)} commands differ")
+        return 1 if differing else 0
+    records = sweep(Path(args.first))
+    Path(args.second).write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    print(f"ran {len(records)} commands; wrote {args.second}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
