@@ -241,7 +241,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    from .family_io import SCHEMA_VERSION, dumps_json, family_to_doc, format_float, read_json
+    from .family_io import (KIND_PACKING_RESULT, SCHEMA_VERSION, dumps_json, family_to_doc,
+                            format_float, read_json)
     from .packing import PackingProblem, solve
 
     doc = read_json(args.problem)
@@ -250,7 +251,7 @@ def cmd_pack(args) -> int:
     out = Path(args.out) if args.out else Path(args.problem).with_suffix(".result.json")
     result_doc = {
         "schema_version": SCHEMA_VERSION,
-        "kind": "packing_result",
+        "kind": KIND_PACKING_RESULT,
         "problem": problem.to_dict(),
         "objective_value": result.objective_value,
         "best_iteration": result.best_iteration,

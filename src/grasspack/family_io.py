@@ -28,6 +28,8 @@ SCHEMA_VERSION = "1"
 
 KIND_LINES = "lines"
 KIND_SUBSPACES = "subspaces"
+# what `grasspack pack` writes: the problem, the run, and the family as a family doc
+KIND_PACKING_RESULT = "packing_result"
 
 
 def format_float(x: float) -> str:
@@ -152,10 +154,16 @@ def _member_matrix(entry, n: int, k: int, kind: str, index: int) -> np.ndarray:
 def parse_family_doc(doc) -> SubspaceFamily:
     """Build a SubspaceFamily from a family doc; lines load as Gr(1, n).
 
-    Representatives are re-orthonormalized on load (span-preserving; a no-op
-    within roundoff for files this package wrote).  The first member that is
-    malformed or rank-deficient fails the load, named by its index.
+    A pack result (kind 'packing_result') loads as the family doc under its
+    "family" key.  Representatives are re-orthonormalized on load
+    (span-preserving; a no-op within roundoff for files this package wrote).
+    The first member that is malformed or rank-deficient fails the load,
+    named by its index.
     """
+    if isinstance(doc, dict) and doc.get("kind") == KIND_PACKING_RESULT:
+        doc = doc.get("family")
+        if not isinstance(doc, dict):
+            raise ParseError(f"a {KIND_PACKING_RESULT!r} file must hold a 'family' object")
     return _parse_members(*_validate_doc(doc))
 
 
@@ -165,20 +173,24 @@ def _parse_members(kind: str, n: int, k: int, entries: list, metadata: dict) -> 
     from .constructions import SubspaceFamily
     from .linalg import EPS_ORTH, orthonormality_residuals, orthonormalize_stack
 
-    # a malformed member's error waits until the members before it pass the rank check
-    reps, malformed = np.empty((len(entries), n, k)), None
+    # a malformed member's error waits until the members before it pass the
+    # rank check; the stack is sized by the members that passed their shape
+    # check, never by the declared n and k alone
+    members, malformed = [], None
     for index, entry in enumerate(entries):
         try:
-            reps[index] = _member_matrix(entry, n, k, kind, index)
+            members.append(_member_matrix(entry, n, k, kind, index))
         except ParseError as exc:
-            reps, malformed = reps[:index], exc
+            malformed = exc
             break
+    reps = np.stack(members) if members else np.empty((0, n, k))
     # sloppy hand-written spans get cleaned
     sloppy = np.flatnonzero(orthonormality_residuals(reps) > EPS_ORTH)
-    reps[sloppy], independent = orthonormalize_stack(reps[sloppy])
-    if not independent.all():
-        index = sloppy[np.argmin(independent)]
-        raise ParseError(f"member {index}: columns are numerically dependent")
+    if sloppy.size:
+        reps[sloppy], independent = orthonormalize_stack(reps[sloppy])
+        if not independent.all():
+            index = sloppy[np.argmin(independent)]
+            raise ParseError(f"member {index}: columns are numerically dependent")
     if malformed is not None:
         raise malformed
     try:

@@ -7,10 +7,11 @@ cross-Grams U^T V, the sines those of the residuals V - U U^T V, and each
 angle is read as arctan2(sine, cosine), which keeps full accuracy from the
 smallest angles to pi/2 (Bjorck & Golub 1973; Knyazev & Argentati 2002).
 `cross_residual` forms both stacks; the chordal distance reads the
-residuals' Frobenius norms from it without taking angles.  Family-wide
-checks visit the m(m-1)/2 member pairs through `pair_chunks`, a bounded
-chunk at a time, so no scan holds more than PAIR_CHUNK_ENTRIES entries per
-representative stack.
+residuals' Frobenius norms from it without taking angles.  Every family
+scan (member distinctness, the equiangular and equi-isoclinic checks and
+the determinant certificate) visits the m(m-1)/2 member pairs through
+`pair_chunks`, a bounded chunk at a time, so no scan holds more than
+PAIR_CHUNK_ENTRIES entries per representative stack.
 """
 
 from __future__ import annotations

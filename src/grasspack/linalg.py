@@ -59,7 +59,11 @@ def as_matrix(a) -> np.ndarray:
 def orthonormality_residuals(reps) -> np.ndarray:
     """max |U^T U - I| per member of an (..., n, k) stack; NaN or inf entries fail <= EPS_ORTH."""
     reps = np.asarray(reps, dtype=float)
-    return np.abs(np.swapaxes(reps, -1, -2) @ reps - np.eye(reps.shape[-1])).max(axis=(-2, -1))
+    gram = np.swapaxes(reps, -1, -2) @ reps
+    # I comes off the diagonal in place: np.eye(k) would be sized by k alone,
+    # which an empty stack does not bound
+    np.einsum("...ii->...i", gram)[...] -= 1.0
+    return np.abs(gram).max(axis=(-2, -1))
 
 
 def clamp_unit_interval(x):

@@ -65,8 +65,11 @@ class Certificate:
     P_j is the j-th projector; for a family pairwise equiangular with common
     angle alpha (any angle distance) this is (1 - lambda)^k on the diagonal
     and 0 elsewhere, which forces the f_i to be linearly independent inside a
-    space of dimension C(C(n+1,2) + k - 1, k).  The matrix is kept only for
-    m <= EVAL_MATRIX_MAX (None above that); the maxima cover every entry.
+    space of dimension C(C(n+1,2) + k - 1, k).  For orthonormal members
+    f_j(P_i) = f_i(P_j), so each pair i < j is evaluated once and the lower
+    triangle mirrors the upper.  The matrix is kept only for
+    m <= EVAL_MATRIX_MAX (None above that); the maxima cover the diagonal and
+    every pair, so they reduce the kept matrix exactly.
     """
 
     m: int
@@ -177,29 +180,32 @@ def polynomial_certificate(
             f"certificate requires alpha in (eps_angle, pi/2] = "
             f"({eps_angle!r}, {math.pi / 2!r}], got {alpha!r}"
         )
-    if len(family) < 1:
+    m = len(family)
+    if m < 1:
         raise FamilyTooSmallError("certificate needs at least one member")
     k = family.k
     lam = math.cos(alpha) ** 2
     target = (1.0 - lam) ** k
-    m = len(family)
     reps = family.reps
-    # U_i^T P_j U_i = C C^T with C = U_i^T U_j, so no n x n projector is built
-    shifts = lam * np.sum(reps * reps, axis=(1, 2)) / k  # lambda tr(P_j) / k
-    # each row is reduced as it is made; only the rows `to_dict` emits are kept
-    rows = [] if m <= EVAL_MATRIX_MAX else None
-    max_diag_deviation = max_offdiag = 0.0
-    for i in range(m):
-        cross = reps[i].T @ reps
-        row = np.linalg.det(
-            cross @ np.swapaxes(cross, -1, -2) - shifts[:, None, None] * np.eye(k)
-        )
-        max_diag_deviation = max(max_diag_deviation, abs(float(row[i]) - target))
-        if rows is not None:
-            rows.append(row)
-        off = np.abs(row)
-        off[i] = 0.0
-        max_offdiag = max(max_offdiag, float(off.max()))
+
+    def entries(a, b):
+        # f_i(P_j) for U_i in stack a and U_j in stack b: U_i^T P_j U_i = C C^T
+        # with C = U_i^T U_j, so no n x n projector is built
+        cross = np.swapaxes(a, -1, -2) @ b
+        shift = lam * np.sum(b * b, axis=(-2, -1)) / k  # lambda tr(P_j) / k
+        gram = cross @ np.swapaxes(cross, -1, -2)
+        return np.linalg.det(gram - shift[..., None, None] * np.eye(k))
+
+    diag = entries(reps, reps)
+    max_diag_deviation = float(np.abs(diag - target).max())
+    # each pair i < j once: f_j(P_i) = f_i(P_j) (see Certificate)
+    matrix = np.diag(diag) if m <= EVAL_MATRIX_MAX else None
+    max_offdiag = 0.0
+    for i, j, a, b in pair_chunks(reps):
+        values = entries(a, b)
+        max_offdiag = max(max_offdiag, float(np.abs(values).max()))
+        if matrix is not None:
+            matrix[i, j] = matrix[j, i] = values
     bound = bound_angle_distance(k, family.n)
     scaled = tol * (1.0 + abs(1.0 - lam) ** k)
     verdict = max_diag_deviation <= scaled and max_offdiag <= scaled and m <= bound
@@ -213,5 +219,5 @@ def polynomial_certificate(
         bound=bound,
         tolerance=scaled,
         verdict=verdict,
-        eval_matrix=None if rows is None else np.array(rows),
+        eval_matrix=matrix,
     )

@@ -18,6 +18,7 @@ from grasspack.family_io import (
     save_family,
 )
 from grasspack.constructions import SubspaceFamily
+from grasspack.errors import ParseError
 from grasspack.metrics import evaluate
 from grasspack.packing import perturb
 from grasspack.verify import check_equiisoclinic
@@ -768,6 +769,57 @@ def test_malformed_family_file_exit_2(tmp_path, capsys):
     )
     assert main(["angles", str(path), "0", "0"]) == 2
     assert "n and k must be positive integers" in capsys.readouterr().err
+
+
+OVERSIZE = {"schema_version": "1", "kind": "subspaces", "n": 1000000, "k": 1000000}
+RESULT = {"schema_version": "1", "kind": "packing_result", "objective_value": 0.5}
+# three declare 10^6 x 10^6 members, so a stack or an identity sized from the
+# declared shape alone would take terabytes; two are pack results without a
+# usable family
+TINY_MALFORMED_DOCS = {
+    "oversize-1x1": dict(OVERSIZE, members=[[[1.0]]]),
+    "oversize-scalars": dict(OVERSIZE, members=[1, 2, 3]),
+    "oversize-none": dict(OVERSIZE, members=[]),
+    "result-no-family": RESULT,
+    "result-family-list": dict(RESULT, family=[1.0]),
+}
+
+
+@pytest.mark.parametrize("doc", TINY_MALFORMED_DOCS.values(), ids=TINY_MALFORMED_DOCS)
+@pytest.mark.parametrize(
+    "command", [["verify", "thetaF"], ["certify", "--alpha", "1.0"]], ids=["verify", "certify"]
+)
+def test_tiny_malformed_file_exit_2(tmp_path, capsys, doc, command):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert main([command[0], str(path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        {"k": 1, "n": 2, "m": 3, "metric": "thetaK", "seed": 3, "restarts": 2, "max_iters": 300},
+        {"k": 2, "n": 4, "m": 4, "metric": "chordal", "objective": "equiangular_variance",
+         "min_separation": 0.3, "seed": 1, "restarts": 2, "max_iters": 300},
+    ],
+    ids=["lines", "planes"],
+)
+def test_pack_result_can_be_verified_and_certified(tmp_path, capsys, problem):
+    src, out = tmp_path / "problem.json", tmp_path / "result.json"
+    src.write_text(json.dumps(problem))
+    assert main(["pack", str(src), "-o", str(out)]) == 0
+    family = load_family(out)
+    np.testing.assert_array_equal(
+        family.reps, parse_family_doc(json.loads(out.read_text())["family"]).reps
+    )
+    assert main(["verify", str(out), problem["metric"]]) in (0, 1)
+    assert main(["certify", str(out), "--alpha", "1.0"]) in (0, 1)
+    assert capsys.readouterr().err == ""
+    # a line file is still only a 'lines' doc
+    with pytest.raises(ParseError, match="unknown kind 'packing_result'"):
+        load_lineset(out)
 
 
 def test_pack_orthogonal_planes_chordal(tmp_path):

@@ -206,6 +206,7 @@ def test_boolean_shape_rejected(shape):
 
 
 LINE_DOC = {"schema_version": "1", "kind": "lines", "n": 2, "k": 1, "members": [[1.0, 0.0]], "metadata": {}}
+NO_FAMILY = "a 'packing_result' file must hold a 'family' object"
 
 
 @pytest.mark.parametrize(
@@ -215,8 +216,12 @@ LINE_DOC = {"schema_version": "1", "kind": "lines", "n": 2, "k": 1, "members": [
         (dict(LINE_DOC, kind="subspaces", k=3), "need k <= n, got k=3, n=2"),
         (dict(LINE_DOC, members={}), "members must be a list"),
         (dict(LINE_DOC, metadata=[]), "metadata must be an object"),
+        ({"kind": "packing_result"}, NO_FAMILY),
+        ({"kind": "packing_result", "family": [LINE_DOC]}, NO_FAMILY),
+        ({"kind": "packing_result", "family": {}}, r"unsupported schema_version None \(expected '1'\)"),
     ],
-    ids=["not-object", "k-above-n", "members-object", "metadata-list"],
+    ids=["not-object", "k-above-n", "members-object", "metadata-list", "result-no-family",
+         "result-family-list", "result-family-empty"],
 )
 def test_malformed_doc_rejected(doc, message):
     with pytest.raises(ParseError, match=f"^{message}$"):

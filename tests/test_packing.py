@@ -182,6 +182,12 @@ def test_restart_results_do_not_depend_on_restart_count(overrides):
         assert fewer.restart_accepted == five.restart_accepted[:r]
         assert fewer.restart_rejected_rank == five.restart_rejected_rank[:r]
         assert fewer.restart_rejected_separation == five.restart_rejected_separation[:r]
+    # a move counts at most once, as accepted, rejected for rank or rejected
+    # for separation (a move that loses the Metropolis draw counts nowhere)
+    for counts in zip(
+        five.restart_accepted, five.restart_rejected_rank, five.restart_rejected_separation
+    ):
+        assert sum(counts) <= 1200
 
 
 def _outcome(result):

@@ -39,6 +39,8 @@ from grasspack.verify import (
     check_equiisoclinic,
 )
 
+from _oracles import projection_matrix
+
 
 @pytest.fixture(scope="module")
 def simplex_family():
@@ -203,9 +205,41 @@ def test_certificate_lift9(lift9):
     np.testing.assert_allclose(diag, 0.5625, atol=1e-8)
     off = cert.eval_matrix[~np.eye(9, dtype=bool)]
     assert np.max(np.abs(off)) <= 1e-8
-    # the maxima reduce the kept matrix exactly
-    assert cert.max_diag_deviation == np.max(np.abs(diag - cert.diagonal_target))
-    assert cert.max_offdiag == np.max(np.abs(off))
+    # the maxima reduce the kept matrix exactly, also where roundoff leaves
+    # the entries inexact; the lower triangle mirrors the upper
+    for cert in (cert, polynomial_certificate(_rotated(lift9, 197), np.pi / 3)):
+        matrix = cert.eval_matrix
+        np.testing.assert_array_equal(matrix, matrix.T)
+        off = matrix[~np.eye(9, dtype=bool)]
+        assert cert.max_diag_deviation == np.max(np.abs(np.diag(matrix) - cert.diagonal_target))
+        assert cert.max_offdiag == np.max(np.abs(off))
+    assert cert.max_diag_deviation > 0.0 and cert.max_offdiag > 0.0
+
+
+def _rotated(family, seed):
+    """The family moved by a random rotation of R^n: every angle kept, no entry exact."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((family.n, family.n)))
+    return SubspaceFamily(q @ family.reps)
+
+
+def test_certificate_matches_projector_oracle(chunk_entries):
+    # 64 members of Gr(3, 9), beyond EVAL_MATRIX_MAX; with whole rows and with
+    # rows split into chunks of 2 pairs
+    family = _rotated(lift_lines_to_subspaces(simplex_lines(3), 3), 199)
+    alpha = math.acos(1.0 / 3.0)
+    cert = polynomial_certificate(family, alpha)
+    assert cert.eval_matrix is None
+    lam, k = cert.lam, family.k
+    reps = family.reps
+    projectors = np.stack([projection_matrix(member) for member in family])
+    # oracle[i, j] = det(U_i^T P_j U_i - lambda tr(P_j) / k I), both triangles
+    compressed = np.swapaxes(reps, -1, -2)[:, None] @ projectors[None] @ reps[:, None]
+    shifts = lam * np.trace(projectors, axis1=-2, axis2=-1) / k
+    oracle = np.linalg.det(compressed - shifts[None, :, None, None] * np.eye(k))
+    diag_deviation = np.max(np.abs(np.diag(oracle) - cert.diagonal_target))
+    assert abs(cert.max_diag_deviation - diag_deviation) <= 1e-15
+    assert abs(cert.max_offdiag - np.max(np.abs(oracle[~np.eye(len(family), dtype=bool)]))) <= 1e-15
+    assert cert.verdict
 
 
 def test_certificate_single_member():

@@ -31,10 +31,13 @@ from pathlib import Path
 METRICS = ("theta1", "thetaF", "thetaK", "chordal", "geodesic", "fubini-study")
 FORMATS = ((), ("--format", "json"))
 PI_3 = "1.0471975511965976"
+ACOS_1_3 = "1.2309594173407747"  # the common angle of simplex_lines(3) and its lifts
 
 # Inputs the sweep writes itself before the first command: two orthogonal
 # planes in R^4 (a Fubini-Study-equiangular family for `plucker`), an empty
-# family, a file that is not JSON and three packing problems.
+# family, three files that declare 10^6 x 10^6 members, a file that is not
+# JSON and three packing problems.
+OVERSIZE = {"oversize-1x1.json": [[[1.0]]], "oversize-scalars.json": [1, 2, 3], "oversize-none.json": []}
 INPUTS = {
     "planes.json": {
         "schema_version": "1", "kind": "subspaces", "n": 4, "k": 2, "metadata": {},
@@ -44,6 +47,10 @@ INPUTS = {
         ],
     },
     "empty.json": {"schema_version": "1", "kind": "subspaces", "n": 4, "k": 2, "members": []},
+    **{
+        name: {"schema_version": "1", "kind": "subspaces", "n": 1000000, "k": 1000000, "members": members}
+        for name, members in OVERSIZE.items()
+    },
     "lines-problem.json": {
         "k": 1, "n": 2, "m": 3, "metric": "thetaK", "seed": 3, "restarts": 2, "max_iters": 300,
     },
@@ -125,6 +132,12 @@ def _commands() -> list[list[str]]:
         ["certify", "lift.json", "--alpha", "0"],
         ["certify", "lift.json", "--alpha", "2"],
         ["certify", "empty.json", "--alpha", PI_3],
+        # 64 members: beyond the size whose evaluation matrix is kept
+        *(["certify", name, "--alpha", ACOS_1_3, *fmt] for name in ("lift3.json", "comp3.json")
+          for fmt in FORMATS),
+        # members the declared shape would size to terabytes
+        *([command, name, *args] for name in OVERSIZE
+          for command, *args in (("verify", "thetaF"), ("certify", "--alpha", PI_3))),
         # bounds at four shapes and one bad one, the catalog, help and usage
         *(["bounds", k, n, *fmt] for k, n in (("1", "7"), ("2", "4"), ("2", "6"), ("3", "9"))
           for fmt in FORMATS),
@@ -141,7 +154,11 @@ def _commands() -> list[list[str]]:
         ["pack", "planes-problem.json", "--history", "planes.csv"],
         ["pack", "bad-problem.json", "-o", "bad-result.json"],
         ["pack", "lines-problem.json", "-o", "missing-dir/result.json"],
+        # a pack result reads as the family it holds
         ["verify", "planes-problem.result.json", "chordal"],
+        ["certify", "planes-problem.result.json", "--alpha", "1.0"],
+        ["verify", "lines-result.json", "thetaK"],
+        ["certify", "lines-result.json", "--alpha", PI_3],
     ]
     return commands
 
