@@ -2,7 +2,8 @@
 certificates, bound tables, packing runs, and complements over FamilyFile JSON.
 
 Exit codes are a scripting contract: 0 for success / verdict true, 1 for
-verdict false, 2 for usage, parse, or precondition errors.
+verdict false, 2 for usage, parse, or precondition errors, an output file
+that cannot be written, or arrays that cannot be allocated.
 
 Only the stdlib and the numpy-free `bounds`, `errors` and `registry` load at
 start; each command imports the numerical modules it calls, so `bounds`,
@@ -376,8 +377,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GrasspackError, ValueError, OSError) as exc:  # OSError: an output file
-        print(f"error: {exc}", file=sys.stderr)
+    # OSError: an output file; MemoryError: an array too large to allocate,
+    # whose message numpy fills in and Python's own leaves empty
+    except (GrasspackError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -2,6 +2,8 @@
 
 Files carry schema_version "1", a kind ("lines" or "subspaces"), the (n, k)
 shape, the members as row-major nested lists, and a free-form metadata map.
+The readers also take the "packing_result" file that `grasspack pack`
+writes, as the family doc under its "family" key.
 Floats are emitted with 17 significant digits and -0.0 as ``-0.0``, so
 writing and re-reading a file reproduces every double bit-for-bit.  A float
 with an integral value is written as a JSON integer (``1``, ``0``); the
@@ -125,8 +127,11 @@ def _validate_doc(doc) -> tuple[str, int, int, list, dict]:
     return kind, n, k, members, metadata
 
 
-def _member_matrix(entry, n: int, k: int, kind: str, index: int) -> np.ndarray:
+def _member(entry, n: int, k: int, kind: str, index: int) -> np.ndarray:
+    """Member `index` as an n x k matrix; a sloppy span is re-orthonormalized."""
     import numpy as np
+
+    from .linalg import EPS_ORTH, orthonormality_residuals, orthonormalize_stack
 
     try:
         arr = np.asarray(entry, dtype=float)
@@ -148,17 +153,22 @@ def _member_matrix(entry, n: int, k: int, kind: str, index: int) -> np.ndarray:
         raise ParseError(f"member {index} is not numeric")
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"member {index} has non-finite entries")
-    return arr
+    if orthonormality_residuals(arr) <= EPS_ORTH:
+        return arr
+    clean, independent = orthonormalize_stack(arr)
+    if not independent:
+        raise ParseError(f"member {index}: columns are numerically dependent")
+    return clean
 
 
 def parse_family_doc(doc) -> SubspaceFamily:
     """Build a SubspaceFamily from a family doc; lines load as Gr(1, n).
 
     A pack result (kind 'packing_result') loads as the family doc under its
-    "family" key.  Representatives are re-orthonormalized on load
-    (span-preserving; a no-op within roundoff for files this package wrote).
-    The first member that is malformed or rank-deficient fails the load,
-    named by its index.
+    "family" key.  Members are read in file order: each is checked, and one
+    whose columns are not orthonormal within EPS_ORTH is re-orthonormalized
+    (span-preserving; files this package wrote need none).  The first member
+    that is malformed or rank-deficient fails the load, named by its index.
     """
     if isinstance(doc, dict) and doc.get("kind") == KIND_PACKING_RESULT:
         doc = doc.get("family")
@@ -171,28 +181,11 @@ def _parse_members(kind: str, n: int, k: int, entries: list, metadata: dict) -> 
     import numpy as np
 
     from .constructions import SubspaceFamily
-    from .linalg import EPS_ORTH, orthonormality_residuals, orthonormalize_stack
 
-    # a malformed member's error waits until the members before it pass the
-    # rank check; the stack is sized by the members that passed their shape
-    # check, never by the declared n and k alone
-    members, malformed = [], None
-    for index, entry in enumerate(entries):
-        try:
-            members.append(_member_matrix(entry, n, k, kind, index))
-        except ParseError as exc:
-            malformed = exc
-            break
+    # in file order, so the first bad member names the error; the stack is
+    # sized by the members read, never by the declared n and k alone
+    members = [_member(entry, n, k, kind, index) for index, entry in enumerate(entries)]
     reps = np.stack(members) if members else np.empty((0, n, k))
-    # sloppy hand-written spans get cleaned
-    sloppy = np.flatnonzero(orthonormality_residuals(reps) > EPS_ORTH)
-    if sloppy.size:
-        reps[sloppy], independent = orthonormalize_stack(reps[sloppy])
-        if not independent.all():
-            index = sloppy[np.argmin(independent)]
-            raise ParseError(f"member {index}: columns are numerically dependent")
-    if malformed is not None:
-        raise malformed
     try:
         return SubspaceFamily(reps, metadata)
     except (GrasspackError, ValueError) as exc:

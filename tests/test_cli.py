@@ -892,3 +892,32 @@ def test_unwritable_output_exit_2(tmp_path, lift_file, command, capsys):
     # the result is written before the history, as before
     assert paths["result"].exists() == ("{result}" in command)
     assert not paths["history"].exists()
+
+
+NUMPY_OOM = "Unable to allocate 520. GiB for an array with shape (20, 3) and data type int64"
+
+
+@pytest.mark.parametrize("raised, shown", [(MemoryError(NUMPY_OOM), NUMPY_OOM), (MemoryError(), "MemoryError")],
+                         ids=["numpy", "bare"])
+@pytest.mark.parametrize("command", ["construct", "pack"])
+def test_allocation_failure_exit_2(tmp_path, lines_file, monkeypatch, capsys, command, raised, shown):
+    # the builders are patched to raise: a real allocation this large could
+    # be mapped lazily and filled until the machine runs out of memory
+    from grasspack import constructions, packing
+
+    def fail(*args):
+        raise raised
+
+    monkeypatch.setattr(constructions, "lift_lines_to_subspaces", fail)
+    monkeypatch.setattr(packing, "solve", fail)
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"k": 1, "n": 2, "m": 3, "metric": "thetaK"}))
+    out = tmp_path / "out.json"
+    argv = {
+        "construct": ["construct", "lift", "k=20", f"in={lines_file}", "-o", str(out)],
+        "pack": ["pack", str(problem), "-o", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {shown}\n")
+    assert not out.exists()

@@ -20,6 +20,7 @@ from grasspack.family_io import (
     save_family,
     save_lineset,
 )
+from grasspack.linalg import orthonormalize
 
 from _oracles import projection_matrix
 
@@ -251,6 +252,7 @@ def test_non_numeric_member_rejected(tmp_path, member):
 PLANE = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
 OTHER_PLANE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 RANK_ONE = [[1.0, 2.0], [0.0, 0.0], [2.0, 4.0]]
+SLOPPY_PLANE = [[2.0 * x for x in row] for row in PLANE]
 
 
 def test_rank_deficient_member_rejected():
@@ -277,8 +279,12 @@ def test_rank_deficient_member_rejected():
         ([PLANE, RANK_ONE, [[1.0, 0.0]]], "member 1: columns are numerically dependent"),
         ([PLANE, [[1.0, 0.0]], RANK_ONE], r"member 1: expected an 3x2 matrix, got shape \(1, 2\)"),
         ([PLANE, OTHER_PLANE, [[1.0, 0.0], [0.0, 1.0], 0.0], RANK_ONE], "member 2 is not numeric"),
+        # a sloppy but independent member is cleaned, so the next one names the error
+        ([PLANE, SLOPPY_PLANE, [[1.0, 0.0]]], r"member 2: expected an 3x2 matrix, got shape \(1, 2\)"),
+        ([PLANE, SLOPPY_PLANE, RANK_ONE], "member 2: columns are numerically dependent"),
     ],
-    ids=["shape", "nan", "inf", "string", "rank-before-shape", "shape-before-rank", "ragged"],
+    ids=["shape", "nan", "inf", "string", "rank-before-shape", "shape-before-rank", "ragged",
+         "sloppy-before-shape", "sloppy-before-rank"],
 )
 def test_malformed_member_named_by_index(members, message):
     doc = {"schema_version": "1", "kind": "subspaces", "n": 3, "k": 2, "members": members, "metadata": {}}
@@ -345,6 +351,25 @@ def test_sloppy_user_vectors_are_normalized(tmp_path):
     lines = load_lineset(path)
     np.testing.assert_array_equal(lines.vectors, fam.reps[:, :, 0])
     assert lines.common_cos == pytest.approx(math.sqrt(0.5), abs=1e-15)
+
+
+def test_mixed_clean_and_sloppy_members_load_bit_for_bit(tmp_path):
+    # clean members load as written; each sloppy one as its own orthonormalize
+    clean = [PLANE, OTHER_PLANE, [[0.6, 0.0], [0.0, -1.0], [0.8, 0.0]]]
+    sloppy = [
+        [[2.0, 1.0], [0.0, 0.0], [0.0, 3.0]],
+        [[1.0, 0.5], [1.0, -0.25], [1.0, 2.0]],
+        [[0.0, 0.8], [1.0 + 1e-9, 0.0], [0.0, -0.6]],
+    ]
+    members = [clean[0], sloppy[0], clean[1], sloppy[1], sloppy[2], clean[2]]
+    doc = {"schema_version": "1", "kind": "subspaces", "n": 3, "k": 2, "members": members}
+    path = tmp_path / "mixed.json"
+    path.write_text(dumps_json(doc))
+    reps = load_family(path).reps
+    expected = [np.array(m) if m in clean else orthonormalize(m) for m in members]
+    for rep, want in zip(reps, expected):
+        assert rep.tobytes() == want.tobytes()
+    assert not np.array_equal(reps[4], np.array(sloppy[2]))
 
 
 def test_nearly_unit_lines_are_normalized(tmp_path):

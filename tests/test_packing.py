@@ -142,6 +142,18 @@ def test_solve_three_lines_in_plane():
     assert recomputed == pytest.approx(result.objective_value, abs=1e-9)
 
 
+@pytest.mark.parametrize("metric", [m.cli_name for m in METRICS.values()])
+@pytest.mark.parametrize("k, n", [(1, 3), (2, 4)])
+def test_maximin_objective_is_the_family_minimum_distance(k, n, metric):
+    # the result's objective_value, recomputed from its family alone; not bit
+    # for bit, since the sign fix and the argument order may move the last bits
+    result = solve(PackingProblem(k=k, n=n, m=4, metric=metric, seed=1, restarts=2, max_iters=300))
+    reps = result.family.reps
+    iu, ju = np.triu_indices(len(reps), 1)
+    recomputed = float(np.min(pair_distances(get_metric(metric), reps[iu], reps[ju])))
+    assert abs(recomputed - result.objective_value) <= 1e-12
+
+
 def test_solve_orthogonal_planes_chordal():
     problem = PackingProblem(
         k=2, n=4, m=2, metric="chordal", seed=3, restarts=4, max_iters=8000

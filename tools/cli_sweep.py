@@ -35,9 +35,21 @@ ACOS_1_3 = "1.2309594173407747"  # the common angle of simplex_lines(3) and its 
 
 # Inputs the sweep writes itself before the first command: two orthogonal
 # planes in R^4 (a Fubini-Study-equiangular family for `plucker`), an empty
-# family, three files that declare 10^6 x 10^6 members, a file that is not
-# JSON and three packing problems.
+# family, three files that declare 10^6 x 10^6 members, a family of planes
+# in R^4 that mixes orthonormal members with sloppy ones the reader cleans,
+# four files whose first bad member follows a good or a sloppy one, a file
+# that is not JSON and three packing problems.
 OVERSIZE = {"oversize-1x1.json": [[[1.0]]], "oversize-scalars.json": [1, 2, 3], "oversize-none.json": []}
+PLANE = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+SLOPPY_PLANE = [[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]]
+RANK_ONE = [[1.0, 2.0], [0.0, 0.0], [2.0, 4.0]]
+MISSHAPED = [[1.0, 0.0]]
+ORDER = {
+    "order-rank-shape.json": [PLANE, RANK_ONE, MISSHAPED],
+    "order-shape-rank.json": [PLANE, MISSHAPED, RANK_ONE],
+    "order-sloppy-shape.json": [PLANE, SLOPPY_PLANE, MISSHAPED],
+    "order-sloppy-rank.json": [PLANE, SLOPPY_PLANE, RANK_ONE],
+}
 INPUTS = {
     "planes.json": {
         "schema_version": "1", "kind": "subspaces", "n": 4, "k": 2, "metadata": {},
@@ -47,6 +59,21 @@ INPUTS = {
         ],
     },
     "empty.json": {"schema_version": "1", "kind": "subspaces", "n": 4, "k": 2, "members": []},
+    "mixed.json": {
+        "schema_version": "1", "kind": "subspaces", "n": 4, "k": 2, "metadata": {},
+        "members": [
+            [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
+            [[3.0, 1.0], [0.0, 0.0], [1.0, 2.0], [0.0, 0.5]],
+            [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+            [[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]],
+            [[0.0, 0.6], [1.0 + 1e-9, 0.0], [0.0, 0.0], [0.0, 0.8]],
+            [[0.5, 0.5], [0.5, -0.5], [0.5, 0.5], [0.5, -0.5]],
+        ],
+    },
+    **{
+        name: {"schema_version": "1", "kind": "subspaces", "n": 3, "k": 2, "members": members}
+        for name, members in ORDER.items()
+    },
     **{
         name: {"schema_version": "1", "kind": "subspaces", "n": 1000000, "k": 1000000, "members": members}
         for name, members in OVERSIZE.items()
@@ -78,6 +105,7 @@ def _commands() -> list[list[str]]:
         ["complement", "lift.json", "-o", "comp.json"],
         ["complement", "chordal.json", "-o", "compchordal.json"],
         ["complement", "lift3.json", "-o", "comp3.json"],
+        ["complement", "mixed.json", "-o", "compmixed.json"],
         # construct errors: bad, missing, repeated, unknown and malformed
         # parameters, an unknown kind, bad inputs
         ["construct", "simplex-lines", "n=abc", "-o", "x.json"],
@@ -118,6 +146,10 @@ def _commands() -> list[list[str]]:
         ["verify", "liftico.json", "chordal", "--tolerance", "0"],
         ["verify", "lift.json", "thetaF", "--tolerance", "nan"],
         ["verify", "empty.json", "thetaF"],
+        # sloppy members cleaned on load; the first bad member names the error
+        *(["verify", name, metric, *fmt] for name in ("mixed.json", "compmixed.json")
+          for metric in ("chordal", "thetaF") for fmt in FORMATS),
+        *(["verify", name, "chordal"] for name in ORDER),
         ["verify", "nosuch.json", "thetaF"],
         ["verify", NOT_JSON, "thetaF"],
         ["angles", "lift.json", "0", "1", "--tol", "1e-6"],
