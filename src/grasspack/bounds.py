@@ -59,6 +59,25 @@ def bound_lemmens_seidel(k: int, n: int) -> int:
     return math.comb(n + 1, 2) - math.comb(k + 1, 2) + 1
 
 
+def bound_table(k: int, n: int) -> list[tuple[str, int]]:
+    """The (name, value) rows of `grasspack bounds k n`: the upper bounds, then de Caen's
+    lines where n = 3 * 2^(2t-1) - 1, for lines (k = 1) and their complements (k = n - 1)."""
+    _require_grassmann_params(k, n)
+    rows = [("gerzon", bound_gerzon(n))] if k == 1 else []
+    rows.append(("angle-distance", bound_angle_distance(k, n)))
+    if k == 2:
+        rows.append(("blokhuis", bound_blokhuis(n)))
+    rows += [("chordal", bound_chordal(n)), ("fubini-study", bound_fubini_study(k, n)),
+             ("lemmens-seidel", bound_lemmens_seidel(k, n))]
+    if k in (1, n - 1):
+        t = 1
+        while (decaen := bound_decaen(t))[0] < n:
+            t += 1
+        if decaen[0] == n:
+            rows.append(("decaen-lower", decaen[1]))
+    return rows
+
+
 def size_chrss(p: int) -> tuple[int, int, int]:
     """(dimension, ambient, family size) = ((p-1)/2, p, C(p+1,2)) for odd prime p.
 

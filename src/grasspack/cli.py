@@ -5,29 +5,19 @@ Exit codes are a scripting contract: 0 for success / verdict true, 1 for
 verdict false, 2 for usage, parse, or precondition errors, an output file
 that cannot be written, or arrays that cannot be allocated.
 
-Only the stdlib and the numpy-free `bounds`, `errors` and `registry` load at
-start; each command imports the numerical modules it calls, so `bounds`,
-`lines-catalog`, `--help` and usage errors run without numpy, and without
-`dataclasses` or `inspect`.
+Only the stdlib and the numpy-free `errors` and `registry` load at start;
+each command imports the modules it calls (`bounds` only for `bounds`,
+`verify` and `certify`), so `bounds`, `lines-catalog`, `--help` and usage
+errors run without numpy, and without `dataclasses` or `inspect`.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 from pathlib import Path
 
-from .bounds import (
-    bound_angle_distance,
-    bound_blokhuis,
-    bound_chordal,
-    bound_decaen,
-    bound_fubini_study,
-    bound_gerzon,
-    bound_lemmens_seidel,
-)
 from .errors import BadParamsError, GrasspackError, IndexOutOfRangeError
 from .registry import METRICS, get_metric
 
@@ -208,32 +198,12 @@ def cmd_certify(args) -> int:
     return 0 if cert.verdict else 1
 
 
-def _decaen_row(n: int):
-    """de Caen's lower bound in R^n when n = 3 * 2^(2t-1) - 1 for some t >= 1, else None."""
-    for t in itertools.count(1):
-        size, lower = bound_decaen(t)
-        if size >= n:
-            return lower if size == n else None
-
-
 def cmd_bounds(args) -> int:
-    k, n = args.k, args.n
-    if not 1 <= k <= n:
-        raise BadParamsError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rows: list[tuple[str, int]] = []
-    if k == 1:
-        rows.append(("gerzon", bound_gerzon(n)))
-    rows.append(("angle-distance", bound_angle_distance(k, n)))
-    if k == 2:
-        rows.append(("blokhuis", bound_blokhuis(n)))
-    rows.append(("chordal", bound_chordal(n)))
-    rows.append(("fubini-study", bound_fubini_study(k, n)))
-    rows.append(("lemmens-seidel", bound_lemmens_seidel(k, n)))
-    decaen = _decaen_row(n)
-    if decaen is not None:
-        rows.append(("decaen-lower", decaen))
+    from .bounds import bound_table
+
+    rows = bound_table(args.k, args.n)
     if args.format == "json":
-        _print_json({"k": k, "n": n, "bounds": dict(rows)})
+        _print_json({"k": args.k, "n": args.n, "bounds": dict(rows)})
     else:
         width = max(len(name) for name, _ in rows)
         for name, value in rows:
@@ -242,24 +212,13 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    from .family_io import (KIND_PACKING_RESULT, SCHEMA_VERSION, dumps_json, family_to_doc,
-                            format_float, read_json)
+    from .family_io import format_float, read_json, save_packing_result
     from .packing import PackingProblem, solve
 
-    doc = read_json(args.problem)
-    problem = PackingProblem.from_dict(doc)
+    problem = PackingProblem.from_dict(read_json(args.problem))
     result = solve(problem)
     out = Path(args.out) if args.out else Path(args.problem).with_suffix(".result.json")
-    result_doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": KIND_PACKING_RESULT,
-        "problem": problem.to_dict(),
-        "objective_value": result.objective_value,
-        "best_iteration": result.best_iteration,
-        "history": [[iteration, value] for iteration, value in result.history],
-        "family": family_to_doc(result.family),
-    }
-    Path(out).write_text(dumps_json(result_doc), encoding="utf-8")
+    save_packing_result(out, problem, result)
     if args.history:
         lines = ["iteration,value"]
         lines += [f"{iteration},{format_float(value)}" for iteration, value in result.history]

@@ -2,8 +2,9 @@
 
 Files carry schema_version "1", a kind ("lines" or "subspaces"), the (n, k)
 shape, the members as row-major nested lists, and a free-form metadata map.
-The readers also take the "packing_result" file that `grasspack pack`
-writes, as the family doc under its "family" key.
+`save_packing_result` writes the "packing_result" file of `grasspack pack`
+(the problem, the run and the family doc under its "family" key), and the
+readers take it as that family doc.
 Floats are emitted with 17 significant digits and -0.0 as ``-0.0``, so
 writing and re-reading a file reproduces every double bit-for-bit.  A float
 with an integral value is written as a JSON integer (``1``, ``0``); the
@@ -13,6 +14,7 @@ double.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -25,6 +27,7 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .constructions import LineSet, SubspaceFamily
+    from .packing import PackingProblem, PackingResult
 
 SCHEMA_VERSION = "1"
 
@@ -147,9 +150,12 @@ def _member(entry, n: int, k: int, kind: str, index: int) -> np.ndarray:
         raise ParseError(
             f"member {index}: expected an {n}x{k} matrix, got shape {arr.shape}"
         )
-    # numpy's float conversion also accepts strings such as "1" and booleans
-    leaves = np.asarray(entry, dtype=object).flat
-    if not all(isinstance(x, (int, float, np.number)) and not isinstance(x, bool) for x in leaves):
+    # numpy's float conversion also accepts strings such as "1" and booleans;
+    # the shape check has fixed the leaves to the n (or n x k) entries walked here
+    leaves = entry if kind == KIND_LINES else itertools.chain.from_iterable(entry)
+    numeric = (int, float, np.number)
+    if not all(type(x) in (float, int) or (isinstance(x, numeric) and not isinstance(x, bool))
+               for x in leaves):
         raise ParseError(f"member {index} is not numeric")
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"member {index} has non-finite entries")
@@ -175,6 +181,15 @@ def parse_family_doc(doc) -> SubspaceFamily:
         if not isinstance(doc, dict):
             raise ParseError(f"a {KIND_PACKING_RESULT!r} file must hold a 'family' object")
     return _parse_members(*_validate_doc(doc))
+
+
+def save_packing_result(path, problem: PackingProblem, result: PackingResult) -> None:
+    """Write a pack run as a 'packing_result' file, which parse_family_doc reads."""
+    doc = {"schema_version": SCHEMA_VERSION, "kind": KIND_PACKING_RESULT,
+           "problem": problem.to_dict(), "objective_value": result.objective_value,
+           "best_iteration": result.best_iteration, "history": result.history,
+           "family": family_to_doc(result.family)}
+    Path(path).write_text(dumps_json(doc), encoding="utf-8")
 
 
 def _parse_members(kind: str, n: int, k: int, entries: list, metadata: dict) -> SubspaceFamily:

@@ -561,6 +561,14 @@ def test_bounds_tables(capsys):
         "chordal         15\n"
         "fubini-study    55\n"
         "lemmens-seidel  13\n"
+    )
+    # Gr(4, 5) holds the complements of de Caen's 8 lines in R^5
+    assert main(["bounds", "4", "5"]) == 0
+    assert capsys.readouterr().out == (
+        "angle-distance  3060\n"
+        "chordal         15\n"
+        "fubini-study    15\n"
+        "lemmens-seidel  6\n"
         "decaen-lower    8\n"
     )
 

@@ -17,8 +17,10 @@ from grasspack.family_io import (
     load_lineset,
     parse_family_doc,
     parse_lineset_doc,
+    read_json,
     save_family,
     save_lineset,
+    save_packing_result,
 )
 from grasspack.linalg import orthonormalize
 
@@ -249,6 +251,26 @@ def test_non_numeric_member_rejected(tmp_path, member):
         load_lineset(path)
 
 
+class Real(float):
+    pass
+
+
+@pytest.mark.parametrize(
+    "leaf, numeric",
+    [(np.float32(0.5), True), (np.int64(0), True), (Real(0.5), True), (np.bool_(False), False)],
+    ids=["float32", "int64", "float-subclass", "numpy-bool"],
+)
+def test_library_doc_leaf_types(leaf, numeric):
+    # leaves a JSON file cannot hold, passed in a doc built in Python
+    for kind, k, member in (("lines", 1, [leaf, 1.0]), ("subspaces", 2, [[leaf, 1.0], [1.0, 0.0]])):
+        doc = {"schema_version": "1", "kind": kind, "n": 2, "k": k, "members": [member]}
+        if numeric:
+            assert parse_family_doc(doc).reps.shape == (1, 2, k)
+        else:
+            with pytest.raises(ParseError, match="^member 0 is not numeric$"):
+                parse_family_doc(doc)
+
+
 PLANE = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
 OTHER_PLANE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 RANK_ONE = [[1.0, 2.0], [0.0, 0.0], [2.0, 4.0]]
@@ -403,3 +425,20 @@ def test_degenerate_lines_rejected(tmp_path, members, message):
     path.write_text(dumps_json(doc))
     with pytest.raises(ParseError, match=message):
         load_lineset(path)
+
+
+@pytest.mark.parametrize("k, n", [(1, 3), (2, 4)])
+def test_packing_result_round_trip(tmp_path, k, n):
+    from grasspack.packing import PackingProblem, solve
+
+    problem = PackingProblem(k=k, n=n, m=4, metric="chordal", seed=2, restarts=2, max_iters=200)
+    result = solve(problem)
+    path = tmp_path / "result.json"
+    save_packing_result(path, problem, result)
+    doc = read_json(path)
+    assert doc["kind"] == "packing_result"
+    assert PackingProblem.from_dict(doc["problem"]) == problem
+    assert doc["history"] == [list(entry) for entry in result.history]
+    family = parse_family_doc(doc)
+    assert family.reps.tobytes() == result.family.reps.tobytes()
+    assert family.metadata == result.family.metadata

@@ -52,7 +52,10 @@ print(json.dumps([m for m in ("dataclasses", "inspect") if m in sys.modules]))
 LOADED_MODULES = """
 import json, sys
 from grasspack.cli import main
-code = main(sys.argv[1:])
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("grasspack"))]))
 """
 
@@ -164,6 +167,8 @@ def work(tmp_path_factory):
         (["complement", "lift.json", "-o", "comp.json"], "grasspack.packing"),
         (["construct", "lift", "k=2", "in=lines.json", "-o", "lift2.json"], "grasspack.packing"),
         (["pack", "problem.json", "-o", "result.json"], "grasspack.verify"),
+        (["pack", "problem.json", "-o", "result.json"], "grasspack.bounds"),
+        (["complement", "lift.json", "-o", "comp.json"], "grasspack.bounds"),
     ],
 )
 def test_numeric_commands_skip_modules_they_do_not_call(work, argv, absent):
@@ -172,3 +177,10 @@ def test_numeric_commands_skip_modules_they_do_not_call(work, argv, absent):
     assert code == 0
     assert absent not in loaded
     assert "grasspack.family_io" in loaded
+
+
+@pytest.mark.parametrize("argv", [["lines-catalog"], ["--help"]])
+def test_printing_commands_skip_bounds(argv):
+    code, loaded = json.loads(_python("-c", LOADED_MODULES, *argv).stdout.splitlines()[-1])
+    assert code == 0
+    assert "grasspack.bounds" not in loaded

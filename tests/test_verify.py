@@ -28,6 +28,7 @@ from grasspack.bounds import (
     bound_fubini_study,
     bound_gerzon,
     bound_lemmens_seidel,
+    bound_table,
     size_chrss,
 )
 from grasspack.grassmann import Subspace, random_subspace, subspace_from_spanning
@@ -366,6 +367,24 @@ def test_bound_lemmens_seidel_values():
     assert bound_lemmens_seidel(2, 4) == 8
     for n in range(1, 10):
         assert bound_lemmens_seidel(n, n) == 1
+
+
+def test_bound_table_rows():
+    decaen = dict(bound_decaen(t) for t in (1, 2, 3))  # n = 5, 23, 95
+    for n in range(1, 101):
+        for k in range(1, n + 1):
+            rows = dict(bound_table(k, n))
+            if k == 1:
+                assert {rows[name] for name in ("gerzon", "angle-distance", "chordal", "fubini-study")} == {
+                    math.comb(n + 1, 2)
+                }
+            # de Caen's lines and their complements, and no other k
+            if n in decaen and k in (1, n - 1):
+                assert rows["decaen-lower"] == decaen[n] <= rows["chordal"]
+            else:
+                assert "decaen-lower" not in rows
+    with pytest.raises(ValueError, match="^need 1 <= k <= n, got k=3, n=2$"):
+        bound_table(3, 2)
 
 
 def test_size_chrss_values():

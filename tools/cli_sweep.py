@@ -170,8 +170,11 @@ def _commands() -> list[list[str]]:
         # members the declared shape would size to terabytes
         *([command, name, *args] for name in OVERSIZE
           for command, *args in (("verify", "thetaF"), ("certify", "--alpha", PI_3))),
-        # bounds at four shapes and one bad one, the catalog, help and usage
-        *(["bounds", k, n, *fmt] for k, n in (("1", "7"), ("2", "4"), ("2", "6"), ("3", "9"))
+        # bounds at four shapes and two bad ones; de Caen's n = 5 and n = 23 at
+        # k = 1, k = n - 1 and other k; the catalog, help and usage
+        *(["bounds", k, n, *fmt] for k, n in (("1", "7"), ("2", "4"), ("2", "6"), ("3", "9"),
+                                               ("1", "5"), ("2", "5"), ("4", "5"), ("5", "5"),
+                                               ("1", "23"), ("22", "23"), ("0", "3"))
           for fmt in FORMATS),
         ["bounds", "3", "2"],
         ["lines-catalog"],
