@@ -15,17 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AngleZeroError, FamilyTooSmallError, NotEquiangularError
-from .grassmann import PAIR_CHUNK_ENTRIES, Subspace, complements, pair_chunks, sign_fix_columns
-from .linalg import EPS_ORTH, check_tolerance, orthonormality_residuals
+from .grassmann import PAIR_CHUNK_ENTRIES, Subspace, complements, pair_chunks, sign_fix_columns, spectra
+from .linalg import EPS_ORTH, check_tolerance, orthonormality_residuals, orthonormalize_stack
 
 
 # ||U_i^T U_j||_F^2 >= k (1 - _COINCIDENT_SLACK) marks a pair of family
 # members as possibly coincident (see SubspaceFamily.__post_init__).
 _COINCIDENT_SLACK = 1e-6
-
-
-def _projectors(reps: np.ndarray) -> np.ndarray:
-    return reps @ np.swapaxes(reps, -1, -2)
 
 
 def _common_cos(vectors: np.ndarray, tol: float, failure: str) -> float:
@@ -99,7 +95,8 @@ class SubspaceFamily:
               entry says how the family was made
 
     Construction checks that reps is an (m, n, k) stack with n, k >= 1, each
-    member orthonormal within EPS_ORTH and no two members coincident.
+    member orthonormal within EPS_ORTH and no two members coincident: no pair
+    with every principal angle between their spans at most EPS_ORTH.
     `family[i]`, a slice and iteration build each member they give as a
     Subspace of its own read-only copy of reps[i].
     """
@@ -120,25 +117,27 @@ class SubspaceFamily:
         reps.setflags(write=False)
         object.__setattr__(self, "reps", reps)
         object.__setattr__(self, "metadata", dict(self.metadata or {}))
-        # Members i and j coincide when their projectors agree entrywise
-        # within EPS_ORTH.  With C = U_i^T U_j and G = U^T U,
+        # With P = U U^T, G = U^T U, C = U_i^T U_j and Q a QR basis of U,
         # ||P_i - P_j||_F^2 = ||G_i||_F^2 + ||G_j||_F^2 - 2 ||C||_F^2, where
         # orthonormality within EPS_ORTH gives ||G||_F^2 >= k - 2k EPS_ORTH and
-        # coincidence gives ||P_i - P_j||_F^2 <= n^2 EPS_ORTH^2.  So every
-        # coincident pair has ||C||_F^2 >= k - 2k EPS_ORTH - n^2 EPS_ORTH^2 / 2.
-        # The filter's margin k * _COINCIDENT_SLACK lies far above that
-        # (and above the roundoff of ||C||_F^2) for every k and any n below
-        # 10^6, so it never drops a coincident pair; only the pairs it keeps
-        # go to the entrywise projector test.
+        # ||P - Q Q^T||_F = ||G - I||_F <= k EPS_ORTH, and coincidence gives
+        # ||Q_i Q_i^T - Q_j Q_j^T||_F <= sqrt(2k) EPS_ORTH.  So every coincident
+        # pair has ||C||_F^2 >= k - 2k EPS_ORTH - 8 k^2 EPS_ORTH^2.  For every k
+        # below 10^12 the filter's margin k * _COINCIDENT_SLACK lies far above
+        # that, and for members of under 10^9 entries above the roundoff of
+        # ||C||_F^2 (at most about 2 k^1.5 n 1.1e-16): it never drops a coincident
+        # pair.  The QR bases wait for the first kept pair, which most families lack.
         floor = k * (1.0 - _COINCIDENT_SLACK)
+        bases = None
         for i, j, a, b in pair_chunks(reps):
             cross = np.swapaxes(a, -1, -2) @ b
             near = (cross * cross).sum(axis=(-2, -1)) >= floor
             if not near.any():
                 continue
+            if bases is None:
+                bases = orthonormalize_stack(reps)[0]
             i, j = i[near], j[near]
-            gaps = np.abs(_projectors(reps[i]) - _projectors(reps[j])).max(axis=(-2, -1))
-            hits = np.flatnonzero(gaps <= EPS_ORTH)
+            hits = np.flatnonzero(spectra(bases[i], bases[j])[..., -1] <= EPS_ORTH)
             if hits.size:
                 raise ValueError(f"family members {i[hits[0]]} and {j[hits[0]]} coincide")
 

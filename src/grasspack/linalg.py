@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ClampError, RankDeficientError
 
-# Entrywise zero for orthonormal data: residuals Q^T Q - I, projector gaps
-# between family members and sign-convention pivots.
+# Zero for orthonormal data: entrywise for residuals Q^T Q - I and sign-convention
+# pivots, and the largest principal angle (radians) at which family members coincide.
 EPS_ORTH = 1e-10
 # Default eps_angle: principal angles below this many radians count as zero.
 EPS_ANGLE = 1e-7

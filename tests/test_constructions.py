@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -411,6 +412,74 @@ def test_family_rejects_duplicates():
     members[698] = members[401]
     with pytest.raises(ValueError, match="members 2 and 699 coincide"):
         SubspaceFamily(np.stack([m.rep for m in members]))
+
+
+def _planted_pair(angles, frame):
+    """Members F_1 and F_1 cos(t) + F_2 sin(t), for the first two k-column blocks of `frame`."""
+    k, t = len(angles), np.array(angles)
+    return np.stack([frame[:, :k], frame[:, :k] * np.cos(t) + frame[:, k : 2 * k] * np.sin(t)])
+
+
+def _turned(n, phi):
+    """The rotation of R^n by phi in the plane of its first two axes."""
+    frame = np.eye(n)
+    frame[:2, :2] = [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
+    return frame
+
+
+def _random_frame(n, seed):
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        # one geometric pair of lines gets one verdict in every frame
+        *(_planted_pair([1.2e-10], _turned(2, phi)) for phi in (0.0, math.pi / 8, math.pi / 4, 1.0)),
+        _planted_pair([5e-10], np.eye(100)),
+        _planted_pair([5e-10], _random_frame(100, 173)),
+        _planted_pair([1.5e-10, 1.5e-10], np.eye(6)),
+        _planted_pair([2e-9, 5e-9], np.eye(4)),
+    ],
+    ids=["R2-0", "R2-pi_8", "R2-pi_4", "R2-1rad", "R100-axes", "R100-random", "planes-1.5e-10", "planted"],
+)
+def test_family_keeps_members_apart_by_more_than_eps_orth(pair):
+    assert len(SubspaceFamily(pair)) == 2
+
+
+def _sloppy_member():
+    # a plane of R^6 whose representative is orthonormal only to about 5e-11
+    u = random_subspace(6, 2, np.random.default_rng(181)).rep
+    return u @ np.array([[1.0 + 2.5e-11, 1e-11], [1e-11, 1.0 - 2e-11]])
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        _planted_pair([0.9e-10], np.eye(2)),
+        *(_planted_pair([8e-11, 8e-11], frame) for frame in (np.eye(6), _turned(6, 1.0), _random_frame(6, 179))),
+        np.stack([_sloppy_member(), _sloppy_member()]),
+        # a second basis of the same span, turned 0.3 rad within it
+        np.stack([_sloppy_member(), _sloppy_member() @ _turned(2, 0.3)]),
+    ],
+    ids=["lines-0.9e-10", "planes-axes", "planes-1rad", "planes-random", "copy", "second-basis"],
+)
+def test_family_members_within_eps_orth_coincide(pair):
+    with pytest.raises(ValueError, match="^family members 0 and 1 coincide$"):
+        SubspaceFamily(pair)
+
+
+def test_family_scan_memory_does_not_grow_with_n():
+    # the filter keeps two lines of R^3000 1e-9 rad apart; testing them forms no n x n array
+    pair = _planted_pair([1e-9], np.eye(3000, 2))
+    tracemalloc.start()
+    try:
+        assert len(SubspaceFamily(pair)) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 3000 x 3000 projector alone takes 72 MB
+    assert peak < 8 * 2**20
 
 
 PLANES = np.eye(3)[:, :2]

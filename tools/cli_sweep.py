@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -38,12 +39,21 @@ ACOS_1_3 = "1.2309594173407747"  # the common angle of simplex_lines(3) and its 
 # family, three files that declare 10^6 x 10^6 members, a family of planes
 # in R^4 that mixes orthonormal members with sloppy ones the reader cleans,
 # four files whose first bad member follows a good or a sloppy one, a file
-# that is not JSON and three packing problems.
+# that is not JSON, three packing problems and two pairs of lines of R^2
+# near the distinctness rule (every principal angle at most 1e-10 rad):
+# 1.2e-10 rad apart in a frame turned by pi/8, and 0.9e-10 rad apart.
 OVERSIZE = {"oversize-1x1.json": [[[1.0]]], "oversize-scalars.json": [1, 2, 3], "oversize-none.json": []}
 PLANE = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
 SLOPPY_PLANE = [[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]]
 RANK_ONE = [[1.0, 2.0], [0.0, 0.0], [2.0, 4.0]]
 MISSHAPED = [[1.0, 0.0]]
+
+
+def _line_pair(frame: float, angle: float) -> dict:
+    members = [[math.cos(frame + t), math.sin(frame + t)] for t in (0.0, angle)]
+    return {"schema_version": "1", "kind": "lines", "n": 2, "k": 1, "members": members}
+
+
 ORDER = {
     "order-rank-shape.json": [PLANE, RANK_ONE, MISSHAPED],
     "order-shape-rank.json": [PLANE, MISSHAPED, RANK_ONE],
@@ -86,6 +96,8 @@ INPUTS = {
         "min_separation": 0.3, "seed": 1, "restarts": 2, "max_iters": 300,
     },
     "bad-problem.json": {"k": 1, "n": 2, "m": 1, "metric": "thetaK"},
+    "near-lines.json": _line_pair(math.pi / 8, 1.2e-10),
+    "twin-lines.json": _line_pair(0.0, 0.9e-10),
 }
 NOT_JSON = "not-json.json"
 
@@ -194,6 +206,10 @@ def _commands() -> list[list[str]]:
         ["certify", "planes-problem.result.json", "--alpha", "1.0"],
         ["verify", "lines-result.json", "thetaK"],
         ["certify", "lines-result.json", "--alpha", PI_3],
+        # lines just beyond and just within the distinctness rule
+        *(argv for name in ("near-lines.json", "twin-lines.json")
+          for argv in (["verify", name, "thetaK"], ["verify", name, "thetaK", "--format", "json"],
+                       ["complement", name, "-o", f"comp-{name}"])),
     ]
     return commands
 
