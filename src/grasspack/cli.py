@@ -1,9 +1,16 @@
 """grasspack command line: angles, distances, constructions, verification,
 certificates, bound tables, packing runs, and complements over FamilyFile JSON.
 
+Each command writes its files, if any, and returns its exit code, its JSON
+document (None for the commands without --format) and its text lines; it
+writes nothing to stdout.  `main` alone writes stdout: the document under
+--format json, the lines otherwise.
+
 Exit codes are a scripting contract: 0 for success / verdict true, 1 for
 verdict false, 2 for usage, parse, or precondition errors, an output file
-that cannot be written, or arrays that cannot be allocated.
+that cannot be written, a document nested too deeply to read or write, or
+arrays that cannot be allocated; `main` maps each failure to exit 2 and one
+`error:` line on stderr.
 
 Only the stdlib and the numpy-free `errors` and `registry` load at start;
 each command imports the modules it calls (`bounds` only for `bounds`,
@@ -27,12 +34,6 @@ def _tolerances(args) -> float:
     from .linalg import EPS_ANGLE, check_eps_angle
 
     return EPS_ANGLE if args.tol is None else check_eps_angle(args.tol)
-
-
-def _print_json(doc: dict) -> None:
-    from .family_io import dumps_json
-
-    sys.stdout.write(dumps_json(doc))
 
 
 def _member_pair(family, i: int, j: int):
@@ -66,31 +67,23 @@ def _parse_params(tokens: list[str], allowed: dict[str, type]) -> dict:
     return params
 
 
-def cmd_angles(args) -> int:
-    import numpy as np
-
+def cmd_angles(args) -> tuple:
     from .family_io import load_family
     from .grassmann import principal_angles
 
     family = load_family(args.file)
     u, v = _member_pair(family, args.i, args.j)
-    spectrum = principal_angles(u, v)
-    if args.format == "json":
-        _print_json(
-            {
-                "i": args.i,
-                "j": args.j,
-                "angles_rad": spectrum.tolist(),
-                "angles_deg": np.degrees(spectrum).tolist(),
-            }
-        )
-    else:
-        for idx, angle in enumerate(spectrum, start=1):
-            print(f"theta_{idx} = {angle:.6f} rad ({math.degrees(angle):.4f} deg)")
-    return 0
+    spectrum = principal_angles(u, v).tolist()
+    degrees = [math.degrees(angle) for angle in spectrum]
+    doc = {"i": args.i, "j": args.j, "angles_rad": spectrum, "angles_deg": degrees}
+    lines = [
+        f"theta_{idx} = {angle:.6f} rad ({deg:.4f} deg)"
+        for idx, (angle, deg) in enumerate(zip(spectrum, degrees), start=1)
+    ]
+    return 0, doc, lines
 
 
-def cmd_distance(args) -> int:
+def cmd_distance(args) -> tuple:
     from .family_io import load_family
     from .metrics import evaluate
 
@@ -99,14 +92,11 @@ def cmd_distance(args) -> int:
     family = load_family(args.file)
     u, v = _member_pair(family, args.i, args.j)
     value = evaluate(metric, u, v, eps_angle)
-    if args.format == "json":
-        _print_json({"metric": metric.id, "i": args.i, "j": args.j, "value": value})
-    else:
-        print(f"{metric.cli_name}({args.i}, {args.j}) = {value:.12g}")
-    return 0
+    doc = {"metric": metric.id, "i": args.i, "j": args.j, "value": value}
+    return 0, doc, [f"{metric.cli_name}({args.i}, {args.j}) = {value:.12g}"]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     from .family_io import load_family
     from .verify import check_equiangular
 
@@ -114,16 +104,15 @@ def cmd_verify(args) -> int:
     metric = get_metric(args.metric)
     family = load_family(args.file)
     report = check_equiangular(family, metric, tol=args.tolerance, eps_angle=eps_angle)
-    if args.format == "json":
-        _print_json(report.to_dict())
-    else:
-        print(f"metric:         {metric.cli_name}")
-        print(f"pairs:          {report.pair_count}")
-        print(f"common value:   {report.common_value:.12g}")
-        print(f"max deviation:  {report.max_deviation:.6g}")
-        print(f"tolerance:      {report.tolerance:.6g}")
-        print(f"verdict:        {'EQUIANGULAR' if report.verdict else 'NOT EQUIANGULAR'}")
-    return 0 if report.verdict else 1
+    lines = [
+        f"metric:         {metric.cli_name}",
+        f"pairs:          {report.pair_count}",
+        f"common value:   {report.common_value:.12g}",
+        f"max deviation:  {report.max_deviation:.6g}",
+        f"tolerance:      {report.tolerance:.6g}",
+        f"verdict:        {'EQUIANGULAR' if report.verdict else 'NOT EQUIANGULAR'}",
+    ]
+    return 0 if report.verdict else 1, report.to_dict(), lines
 
 
 # kind -> (its key=value parameters, all required, with their types; a builder
@@ -160,7 +149,7 @@ LINE_CATALOG = tuple(
 )
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> tuple:
     from . import constructions, family_io
 
     types, build, _ = CONSTRUCTIONS[args.kind]
@@ -172,46 +161,40 @@ def cmd_construct(args) -> int:
     else:
         family_io.save_family(out, made)
         summary = f"{len(made)} subspaces in Gr({made.k},{made.n})"
-    print(f"wrote {summary} to {out}")
-    return 0
+    return 0, None, [f"wrote {summary} to {out}"]
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> tuple:
     from .family_io import load_family
     from .verify import polynomial_certificate
 
     eps_angle = _tolerances(args)
     family = load_family(args.file)
     cert = polynomial_certificate(family, args.alpha, tol=args.tolerance, eps_angle=eps_angle)
-    if args.format == "json":
-        _print_json(cert.to_dict())
-    else:
-        print(f"members:             {cert.m}")
-        print(f"alpha:               {cert.alpha:.12g} rad")
-        print(f"lambda = cos^2:      {cert.lam:.12g}")
-        print(f"diagonal target:     {cert.diagonal_target:.12g}")
-        print(f"max diag deviation:  {cert.max_diag_deviation:.6g}")
-        print(f"max off-diagonal:    {cert.max_offdiag:.6g}")
-        print(f"bound:               {cert.bound}")
-        status = "CERTIFIED" if cert.verdict else "FAILED"
-        print(f"verdict:             {status} (m={cert.m}, bound={cert.bound})")
-    return 0 if cert.verdict else 1
+    status = "CERTIFIED" if cert.verdict else "FAILED"
+    lines = [
+        f"members:             {cert.m}",
+        f"alpha:               {cert.alpha:.12g} rad",
+        f"lambda = cos^2:      {cert.lam:.12g}",
+        f"diagonal target:     {cert.diagonal_target:.12g}",
+        f"max diag deviation:  {cert.max_diag_deviation:.6g}",
+        f"max off-diagonal:    {cert.max_offdiag:.6g}",
+        f"bound:               {cert.bound}",
+        f"verdict:             {status} (m={cert.m}, bound={cert.bound})",
+    ]
+    return 0 if cert.verdict else 1, cert.to_dict(), lines
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple:
     from .bounds import bound_table
 
     rows = bound_table(args.k, args.n)
-    if args.format == "json":
-        _print_json({"k": args.k, "n": args.n, "bounds": dict(rows)})
-    else:
-        width = max(len(name) for name, _ in rows)
-        for name, value in rows:
-            print(f"{name:<{width}}  {value}")
-    return 0
+    width = max(len(name) for name, _ in rows)
+    lines = [f"{name:<{width}}  {value}" for name, value in rows]
+    return 0, {"k": args.k, "n": args.n, "bounds": dict(rows)}, lines
 
 
-def cmd_pack(args) -> int:
+def cmd_pack(args) -> tuple:
     from .family_io import format_float, read_json, save_packing_result
     from .packing import PackingProblem, solve
 
@@ -223,34 +206,27 @@ def cmd_pack(args) -> int:
         lines = ["iteration,value"]
         lines += [f"{iteration},{format_float(value)}" for iteration, value in result.history]
         Path(args.history).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(
-        f"objective {result.objective_value:.12g} at iteration "
-        f"{result.best_iteration}; wrote {out}"
-    )
-    return 0
+    summary = f"objective {result.objective_value:.12g} at iteration {result.best_iteration}"
+    return 0, None, [f"{summary}; wrote {out}"]
 
 
-def cmd_complement(args) -> int:
+def cmd_complement(args) -> tuple:
     from .constructions import complement_family
     from .family_io import load_family, save_family
 
     family = load_family(args.file)
     comp = complement_family(family)
     save_family(Path(args.out), comp)
-    print(f"wrote {len(comp)} subspaces in Gr({comp.k},{comp.n}) to {args.out}")
-    return 0
+    return 0, None, [f"wrote {len(comp)} subspaces in Gr({comp.k},{comp.n}) to {args.out}"]
 
 
-def cmd_lines_catalog(args) -> int:
-    if args.format == "json":
-        _print_json({"catalog": list(LINE_CATALOG)})
-    else:
-        for entry in LINE_CATALOG:
-            print(
-                f"{entry['kind']:<18} ambient {entry['ambient']:<8} "
-                f"size {entry['size']:<6} |cos| = {entry['common_cos']}"
-            )
-    return 0
+def cmd_lines_catalog(args) -> tuple:
+    lines = [
+        f"{entry['kind']:<18} ambient {entry['ambient']:<8} "
+        f"size {entry['size']:<6} |cos| = {entry['common_cos']}"
+        for entry in LINE_CATALOG
+    ]
+    return 0, {"catalog": list(LINE_CATALOG)}, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,12 +311,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, doc, lines = args.func(args)
+        # only the commands that offer --format return a document
+        if doc is not None and args.format == "json":
+            from .family_io import dumps_json
+
+            sys.stdout.write(dumps_json(doc))
+        else:
+            print("\n".join(lines))
     # OSError: an output file; MemoryError: an array too large to allocate,
     # whose message numpy fills in and Python's own leaves empty
     except (GrasspackError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
+    return code
 
 
 def run() -> None:

@@ -50,9 +50,13 @@ def dumps_json(value) -> str:
     """Deterministic JSON text with 17-significant-digit floats.
 
     Lists whose elements are all scalars stay on one line; containers nest
-    with two-space indentation.  Key order is insertion order.
+    with two-space indentation.  Key order is insertion order.  A value
+    nested deeper than the recursion limit allows raises ValueError.
     """
-    return _json_text(value, "") + "\n"
+    try:
+        return _json_text(value, "") + "\n"
+    except RecursionError:
+        raise ValueError("document is nested too deeply to write as JSON") from None
 
 
 def _json_text(value, pad: str) -> str:
@@ -223,11 +227,14 @@ def parse_lineset_doc(doc) -> LineSet:
 
 
 def read_json(path):
-    """Parsed JSON content of a file; ParseError when unreadable or not JSON."""
+    """Parsed JSON content of a file; ParseError when unreadable, not JSON or
+    nested deeper than the recursion limit allows."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path} is nested too deeply to parse as JSON") from None
     except ValueError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
 

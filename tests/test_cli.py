@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grasspack.cli import CONSTRUCTIONS, main
+from grasspack.cli import CONSTRUCTIONS, build_parser, main
 from grasspack.family_io import (
     dumps_json,
     family_to_doc,
@@ -518,6 +518,40 @@ def test_format_rejected_where_nothing_reads_it(tmp_path, lift_file, args, capsy
     assert sorted(path.name for path in tmp_path.iterdir()) == ["lift.json", "lines.json", "problem.json"]
 
 
+# every command, in both formats where it offers --format; certify's alpha is
+# not the lift's common angle, so its verdict is false
+COMMAND_ARGV = [
+    *(argv + fmt for argv in (
+        ["angles", "{lift}", "0", "1"],
+        ["distance", "{lift}", "chordal", "0", "1"],
+        ["verify", "{lift}", "thetaF"],
+        ["certify", "{lift}", "--alpha", "1.0"],
+        ["bounds", "2", "4"],
+        ["lines-catalog"],
+    ) for fmt in ([], ["--format", "json"])),
+    ["construct", "simplex-lines", "n=3", "-o", "{tmp}/lines3.json"],
+    ["pack", "{tmp}/problem.json", "-o", "{tmp}/result.json"],
+    ["complement", "{lift}", "-o", "{tmp}/comp.json"],
+]
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGV, ids=[a[0] + ("-json" if "--format" in a else "") for a in COMMAND_ARGV])
+def test_commands_return_their_output_and_main_writes_it(tmp_path, lift_file, capsys, argv):
+    (tmp_path / "problem.json").write_text(json.dumps({"k": 1, "n": 2, "m": 3, "metric": "thetaK",
+                                                       "seed": 3, "restarts": 2, "max_iters": 300}))
+    argv = [arg.format(tmp=tmp_path, lift=lift_file) for arg in argv]
+    args = build_parser().parse_args(argv)
+    capsys.readouterr()
+    code, doc, lines = args.func(args)
+    assert capsys.readouterr().out == ""
+    # the commands that write a file return their summary line and no document
+    assert (doc is None) == (argv[0] in ("construct", "pack", "complement"))
+    assert lines and all(isinstance(line, str) for line in lines)
+    assert main(argv) == code
+    expected = dumps_json(doc) if "--format" in argv else "\n".join(lines) + "\n"
+    assert capsys.readouterr().out == expected
+
+
 
 def test_distance_help_lists_every_metric(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
@@ -777,6 +811,43 @@ def test_malformed_family_file_exit_2(tmp_path, capsys):
     )
     assert main(["angles", str(path), "0", "0"]) == 2
     assert "n and k must be positive integers" in capsys.readouterr().err
+
+
+def test_too_deeply_nested_documents_exit_2(tmp_path, capsys):
+    # deeper than Python's recursion limit: the parser cannot read a file
+    # nested 200 000 lists deep, and the writer cannot write metadata nested
+    # 600 lists deep, which loads; either is one error line, not a traceback
+    deep, out = tmp_path / "deep.json", tmp_path / "out.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    for argv in (
+        ["verify", "{deep}", "thetaF"],
+        ["certify", "{deep}", "--alpha", "1.0"],
+        ["angles", "{deep}", "0", "1"],
+        ["distance", "{deep}", "thetaF", "0", "1"],
+        ["complement", "{deep}", "-o", "{out}"],
+        ["construct", "lift", "k=2", "in={deep}", "-o", "{out}"],
+        ["construct", "chordal-lift", "in={deep}", "-o", "{out}"],
+        ["construct", "plucker", "in={deep}", "-o", "{out}"],
+        ["pack", "{deep}", "-o", "{out}"],
+    ):
+        assert main([arg.format(deep=deep, out=out) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {deep} is nested too deeply to parse as JSON\n"
+    nested: list = []
+    for _ in range(599):
+        nested = [nested]
+    planes = tmp_path / "planes.json"
+    planes.write_text(json.dumps(
+        {"schema_version": "1", "kind": "subspaces", "n": 4, "k": 2, "metadata": {"nested": nested},
+         "members": [[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
+                     [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]]}
+    ))
+    assert main(["verify", str(planes), "chordal"]) == 0
+    capsys.readouterr()
+    for argv in (["complement", str(planes), "-o", str(out)],
+                 ["construct", "chordal-lift", f"in={planes}", "-o", str(out)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: document is nested too deeply to write as JSON\n"
+    assert not out.exists()
 
 
 OVERSIZE = {"schema_version": "1", "kind": "subspaces", "n": 1000000, "k": 1000000}

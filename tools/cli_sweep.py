@@ -39,9 +39,13 @@ ACOS_1_3 = "1.2309594173407747"  # the common angle of simplex_lines(3) and its 
 # family, three files that declare 10^6 x 10^6 members, a family of planes
 # in R^4 that mixes orthonormal members with sloppy ones the reader cleans,
 # four files whose first bad member follows a good or a sloppy one, a file
-# that is not JSON, three packing problems and two pairs of lines of R^2
+# that is not JSON, three packing problems, two pairs of lines of R^2
 # near the distinctness rule (every principal angle at most 1e-10 rad):
-# 1.2e-10 rad apart in a frame turned by pi/8, and 0.9e-10 rad apart.
+# 1.2e-10 rad apart in a frame turned by pi/8, and 0.9e-10 rad apart, and
+# three documents nested too deeply for Python's recursion limit: a family
+# file and a packing problem nested 200 000 lists deep, which `json.loads`
+# cannot parse, and the planes above with metadata nested 600 lists deep,
+# which load but which a file derived from them cannot write.
 OVERSIZE = {"oversize-1x1.json": [[[1.0]]], "oversize-scalars.json": [1, 2, 3], "oversize-none.json": []}
 PLANE = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
 SLOPPY_PLANE = [[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]]
@@ -53,6 +57,19 @@ def _line_pair(frame: float, angle: float) -> dict:
     members = [[math.cos(frame + t), math.sin(frame + t)] for t in (0.0, angle)]
     return {"schema_version": "1", "kind": "lines", "n": 2, "k": 1, "members": members}
 
+
+def _nested_lists(depth: int) -> list:
+    value: list = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+DEEP = "[" * 200_000 + "]" * 200_000
+NESTED_TEXT = {
+    "deep.json": DEEP,
+    "deep-problem.json": f'{{"k": {DEEP}, "n": 2, "m": 3, "metric": "thetaK"}}',
+}
 
 ORDER = {
     "order-rank-shape.json": [PLANE, RANK_ONE, MISSHAPED],
@@ -99,6 +116,7 @@ INPUTS = {
     "near-lines.json": _line_pair(math.pi / 8, 1.2e-10),
     "twin-lines.json": _line_pair(0.0, 0.9e-10),
 }
+INPUTS["deep-metadata.json"] = dict(INPUTS["planes.json"], metadata={"nested": _nested_lists(600)})
 NOT_JSON = "not-json.json"
 
 
@@ -210,6 +228,13 @@ def _commands() -> list[list[str]]:
         *(argv for name in ("near-lines.json", "twin-lines.json")
           for argv in (["verify", name, "thetaK"], ["verify", name, "thetaK", "--format", "json"],
                        ["complement", name, "-o", f"comp-{name}"])),
+        # documents nested too deeply: unreadable inputs, and metadata that
+        # loads (verify) but that no derived file can hold
+        ["verify", "deep.json", "thetaF"],
+        ["pack", "deep-problem.json", "-o", "deep-result.json"],
+        ["verify", "deep-metadata.json", "chordal"],
+        ["complement", "deep-metadata.json", "-o", "comp-deep.json"],
+        ["construct", "chordal-lift", "in=deep-metadata.json", "-o", "chordal-deep.json"],
     ]
     return commands
 
@@ -229,7 +254,8 @@ def sweep(src: Path) -> list[dict]:
         root = Path(tmp)
         for name, doc in INPUTS.items():
             (root / name).write_text(json.dumps(doc), encoding="utf-8")
-        (root / NOT_JSON).write_text("{not json", encoding="utf-8")
+        for name, text in {NOT_JSON: "{not json", **NESTED_TEXT}.items():
+            (root / name).write_text(text, encoding="utf-8")
         for argv in _commands():
             before = _hashes(root)
             proc = subprocess.run(
