@@ -187,10 +187,11 @@ def cmd_certify(args) -> tuple:
 
 def cmd_bounds(args) -> tuple:
     from .bounds import bound_table
+    from .family_io import format_int
 
     rows = bound_table(args.k, args.n)
     width = max(len(name) for name, _ in rows)
-    lines = [f"{name:<{width}}  {value}" for name, value in rows]
+    lines = [f"{name:<{width}}  {format_int(value)}" for name, value in rows]
     return 0, {"k": args.k, "n": args.n, "bounds": dict(rows)}, lines
 
 

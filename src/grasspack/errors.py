@@ -18,7 +18,7 @@ class FullDimensionError(GrasspackError):
 
 
 class ClampError(GrasspackError):
-    """A cosine or eigenvalue landed too far outside [0, 1] to be roundoff."""
+    """A cosine landed too far above 1 to be roundoff."""
 
 
 class AngleZeroError(GrasspackError):

@@ -46,6 +46,16 @@ def format_float(x: float) -> str:
     return "-0.0" if text == "-0" else text
 
 
+def format_int(value: int) -> str:
+    """All the digits of an int, also past the int-to-str limit that guards json.loads."""
+    try:
+        return str(value)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(value))
+
+
 def dumps_json(value) -> str:
     """Deterministic JSON text with 17-significant-digit floats.
 
@@ -68,7 +78,7 @@ def _json_text(value, pad: str) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
-        return str(int(value))
+        return format_int(int(value))
     if isinstance(value, str):
         return json.dumps(value)
     if value is None:

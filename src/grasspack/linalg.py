@@ -10,7 +10,7 @@ One threshold is a user choice: `eps_angle`, the angle in radians below
 which a principal angle counts as zero (the CLI's --tol).  Functions that
 threshold angles take it as a parameter defaulting to EPS_ANGLE and check it
 with `check_eps_angle`; verdict thresholds go through `check_tolerance`.  The
-orthonormality bound EPS_ORTH and CLAMP_SLACK are fixed.
+orthonormality bound EPS_ORTH and the cosine guard CLAMP_SLACK are fixed.
 """
 
 from __future__ import annotations
@@ -19,14 +19,14 @@ import math
 
 import numpy as np
 
-from .errors import ClampError, RankDeficientError
+from .errors import RankDeficientError
 
 # Zero for orthonormal data: entrywise for residuals Q^T Q - I and sign-convention
 # pivots, and the largest principal angle (radians) at which family members coincide.
 EPS_ORTH = 1e-10
 # Default eps_angle: principal angles below this many radians count as zero.
 EPS_ANGLE = 1e-7
-# Cosines/eigenvalues may leave [0, 1] by roundoff; beyond this it is a bug.
+# Cosines may exceed 1 by roundoff; beyond this it is a bug.
 CLAMP_SLACK = 1e-8
 
 
@@ -64,16 +64,6 @@ def orthonormality_residuals(reps) -> np.ndarray:
     # which an empty stack does not bound
     np.einsum("...ii->...i", gram)[...] -= 1.0
     return np.abs(gram).max(axis=(-2, -1))
-
-
-def clamp_unit_interval(x):
-    """Clamp to [0, 1] elementwise; excursions beyond CLAMP_SLACK are hard errors."""
-    x = np.asarray(x, dtype=float)
-    outside = (x < -CLAMP_SLACK) | (x > 1.0 + CLAMP_SLACK)
-    if np.any(outside):
-        bad = float(x[outside][0])
-        raise ClampError(f"value {bad!r} is too far outside [0, 1] to be roundoff")
-    return np.clip(x, 0.0, 1.0)
 
 
 def orthonormalize(a) -> np.ndarray:

@@ -1,13 +1,13 @@
 """The distance zoo over principal-angle spectra, for the metrics of `registry`.
 
-`pair_distances` reads Fubini-Study from a determinant of the cross-Grams
-and chordal from the Frobenius norms of the residuals (their singular
-values are the sines), so neither runs the angle SVDs.  The rest are
-functions of the spectrum from `spectra`: the angle distances (theta_1,
-theta_F, theta_k) return one of the principal angles and geodesic is the
-spectrum's norm.  Each reduces over the last axis, so one formula serves a
-single spectrum and a whole stack of them.  All are pure and symmetric in
-their two subspaces.
+`pair_distances` reads chordal from the Frobenius norms of the residuals
+(their singular values are the sines) and Fubini-Study from a determinant
+of the cross-Grams, or from `spectra` where arccos cannot resolve it.  The
+rest are functions of the spectrum from `spectra`: the angle distances
+(theta_1, theta_F, theta_k) return one of the principal angles and geodesic
+is the spectrum's norm.  Each reduces over the last axis, so one formula
+serves a single spectrum and a whole stack of them.  All are pure and
+symmetric in their two subspaces.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grassmann import Subspace, cosines, cross_residual, require_same_grassmannian, spectra
-from .linalg import CLAMP_SLACK, EPS_ANGLE, check_eps_angle, clamp_unit_interval
+from .linalg import CLAMP_SLACK, EPS_ANGLE, check_eps_angle
 from .registry import get_metric
 
 
@@ -51,20 +51,30 @@ _FROM_SPECTRUM = {"theta_1": theta_1, "theta_k": theta_k, "geodesic": geodesic}
 def pair_distances(metric, a, b, eps_angle: float = EPS_ANGLE):
     """Distances between paired members of two (..., n, k) representative stacks.
 
-    The stacks broadcast against each other.  Fubini-Study is read from a
-    batched determinant of the cross-Grams A^T B and chordal from the
+    The stacks broadcast against each other.  Chordal is read from the
     Frobenius norms of the residuals B - A (A^T B), whose singular values are
-    the sines of the principal angles; every other metric from `spectra`.
-    The chordal branch keeps `spectra`'s ClampError guard: the largest
-    cosine is at most the cross-Gram's Frobenius norm, so only cross-Grams
-    whose squared norm exceeds 1 + CLAMP_SLACK need their singular values
-    (that filter sits about CLAMP_SLACK / 2 below the guard, far more than
-    the norm's roundoff).  For lines the norm is |a^T b| and no SVD runs.
+    the sines of the principal angles.  Fubini-Study is arccos |det(A^T B)|
+    where |det| <= cos(pi/4), which arccos resolves; other pairs take
+    arcsin sqrt(1 - prod cos^2) over `spectra`, forming 1 - prod cos^2 as
+    -expm1(sum log1p(-sin^2)), free of cancellation.  Every other metric
+    comes from `spectra`.  Both branches keep its ClampError guard:
+    Fubini-Study sends it every |det| > 1, and chordal every cross-Gram whose
+    squared Frobenius norm, a bound on the largest cosine, exceeds
+    1 + CLAMP_SLACK (about CLAMP_SLACK / 2 below the guard, far more than the
+    norm's roundoff).  For lines the norm is |a^T b| and no SVD runs.
     """
     metric = get_metric(metric)
     if metric.id == "fubini_study":
         cross = np.swapaxes(np.asarray(a, dtype=float), -1, -2) @ b
-        return np.arccos(clamp_unit_interval(np.abs(np.linalg.det(cross))))
+        # LAPACK's LU returns a 1 x 1 matrix's entry: skipping the call pays for the near test
+        det = np.abs(cross[..., 0, 0] if cross.shape[-1] == 1 else np.linalg.det(cross))
+        near = det > np.cos(np.pi / 4)
+        dist = np.asarray(np.arccos(np.minimum(det, 1.0)))  # the near entries are replaced below
+        if near.any():
+            a, b = np.broadcast_arrays(a, b)
+            sin2 = np.sin(spectra(a[near], b[near])) ** 2
+            dist[near] = np.arcsin(np.sqrt(-np.expm1(np.log1p(-sin2).sum(axis=-1))))
+        return dist[()]  # [()]: scalar for one pair
     if metric.id == "chordal":
         cross, residual = cross_residual(a, b)
         near = (cross * cross).sum(axis=(-2, -1)) > 1.0 + CLAMP_SLACK

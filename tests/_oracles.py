@@ -16,7 +16,7 @@ complement of one Subspace and complement duality of the nonzero angles
 inner products are det(U^T V) by Cauchy-Binet (`plucker_embed`), and the
 spectrum forms of the chordal and Fubini-Study distances (`chordal`,
 `fubini_study_from_spectrum`), which `metrics.pair_distances` reads from the
-residuals and a determinant instead.
+residuals and, where arccos resolves it, a determinant instead.
 """
 
 import itertools
@@ -30,7 +30,6 @@ from grasspack.linalg import (
     EPS_ORTH,
     check_eps_angle,
     check_tolerance,
-    clamp_unit_interval,
     orthonormalize_stack,
 )
 from grasspack.metrics import pair_distances
@@ -183,8 +182,8 @@ def chordal(spectrum):
 
 def fubini_study_from_spectrum(spectrum):
     """Product-of-cosines form of the Fubini-Study distance: arccos(prod cos theta_i)."""
-    cosines = np.prod(np.cos(np.asarray(spectrum, dtype=float)), axis=-1)
-    return np.arccos(clamp_unit_interval(cosines))
+    # angles in [0, pi/2] have cosines in [0, 1], so their product needs no clamp
+    return np.arccos(np.prod(np.cos(np.asarray(spectrum, dtype=float)), axis=-1))
 
 
 def anneal_reference(problem, metric):

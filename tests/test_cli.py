@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,10 @@ def test_distance_respects_tol_flag(tmp_path, capsys):
         ["distance", str(path), "thetaF", "0", "1", "--format", "json", "--tol", "1e-10"]
     ) == 0
     assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(a, rel=1e-6)
+    # Fubini-Study resolves them too, as sqrt(a^2 + b^2) to O(b^2); arccos(cos a cos b) rounds to 0
+    assert main(["distance", str(path), "fubini-study", "0", "1", "--format", "json"]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert value == pytest.approx(math.hypot(a, b), rel=1e-6)
 
 
 @pytest.mark.parametrize("command", ["distance", "verify", "certify"])
@@ -605,6 +610,39 @@ def test_bounds_tables(capsys):
         "lemmens-seidel  6\n"
         "decaen-lower    8\n"
     )
+
+
+def _digits(value: int) -> str:
+    """The decimal digits of an int >= 0, 1000 at a time, as str() gives them below
+    Python's int-to-str digit limit."""
+    chunks = []
+    while value >= 10**1000:
+        value, low = divmod(value, 10**1000)
+        chunks.append(f"{low:01000d}")
+    return str(value) + "".join(reversed(chunks))
+
+
+@pytest.mark.parametrize(
+    ("k", "n"), [(1, 4000), (2, 4000), (1000, 4000), (2000, 4000), (3999, 4000), (4000, 4000)]
+)
+def test_bounds_prints_every_digit_at_paper_sizes(k, n, capsys):
+    # (2000, 4000)'s angle-distance row has 8 071 digits, past the 4 300 that
+    # str() and json.loads allow; that limit stays where it is
+    from grasspack.bounds import bound_table
+
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)  # Python >= 3.10.7
+    limit = digit_limit()
+    rows = [(name, _digits(value)) for name, value in bound_table(k, n)]
+    if (k, n) == (2000, 4000):
+        assert len(dict(rows)["angle-distance"]) == 8071
+    width = max(len(name) for name, _ in rows)
+    assert main(["bounds", str(k), str(n)]) == 0
+    text = "".join(f"{name:<{width}}  {digits}\n" for name, digits in rows)
+    assert capsys.readouterr().out == text
+    assert main(["bounds", str(k), str(n), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_int=str)
+    assert doc == {"k": str(k), "n": str(n), "bounds": dict(rows)}
+    assert digit_limit() == limit
 
 
 def test_bounds_rejects_bad_params():

@@ -11,10 +11,8 @@ from grasspack.errors import RankDeficientError
 from grasspack.linalg import (
     EPS_ANGLE,
     EPS_ORTH,
-    ClampError,
     check_eps_angle,
     check_tolerance,
-    clamp_unit_interval,
     orthonormalize,
     orthonormalize_stack,
 )
@@ -43,19 +41,6 @@ def test_check_tolerance():
     for bad in (math.nan, -1.0, math.inf):
         with pytest.raises(ValueError, match=rf"tolerance must be finite and >= 0, got {bad!r}"):
             check_tolerance(bad)
-
-
-def test_clamp_within_slack_is_silent():
-    assert clamp_unit_interval(1.0 + 1e-12) == 1.0
-    assert clamp_unit_interval(-1e-12) == 0.0
-    assert clamp_unit_interval(0.5) == 0.5
-
-
-def test_clamp_beyond_slack_raises():
-    with pytest.raises(ClampError):
-        clamp_unit_interval(1.0 + 1e-6)
-    with pytest.raises(ClampError):
-        clamp_unit_interval(-1e-6)
 
 
 def test_orthonormalize_identity_columns_unchanged():

@@ -146,26 +146,38 @@ def test_chordal_residual_norm_on_planted_angles(k):
     for i in range(len(planted) - k + 1):
         t = np.array(planted[i : i + k])
         want = np.sqrt((np.sin(t) ** 2).sum())
+        # Fubini-Study's reference is sqrt(sum T^2), exact to O(T^2), while
+        # T <= 1e-6 (there arccos prod cos T has lost digits), and that arccos above
+        want_fs = np.sqrt((t**2).sum()) if t.max() <= 1e-6 else fubini_study_from_spectrum(t)
         for frame in (exact, rotated):
             u = Subspace(frame[:, :k])
             v = Subspace(frame[:, :k] * np.cos(t) + frame[:, k : 2 * k] * np.sin(t))
             got = pair_distances(CHORDAL, u.rep, v.rep)
+            got_fs = pair_distances(FUBINI_STUDY, u.rep, v.rep)
             assert got == pytest.approx(chordal(spectra(u.rep, v.rep)), rel=1e-12)
             assert got == pytest.approx(chordal_trace_form(u, v), abs=1e-8)
             if frame is exact:
                 assert got == pytest.approx(want, rel=1e-12), (t, got)
+                assert got_fs == pytest.approx(want_fs, rel=1e-6), (t, got_fs)
             else:
                 assert abs(got - want) <= 1e-6 * want + 1e-15, (t, got)
+                assert abs(got_fs - want_fs) <= 1e-6 * want_fs + 1e-15, (t, got_fs)
 
 
 @pytest.mark.parametrize(
-    "cosines",
-    [(1.5, 1.5), (1.2, 0.5), (1.5,)],
+    ("cosines", "metrics"),
+    [
+        ((1.5, 1.5), (CHORDAL, FUBINI_STUDY)),
+        ((1.2, 0.5), (CHORDAL,)),
+        ((1.5,), (CHORDAL, FUBINI_STUDY)),
+    ],
     ids=["both-above", "norm-below-k", "line"],
 )
-def test_chordal_residual_norm_keeps_clamp_guard(cosines):
-    # cross-Grams with singular values above 1: the branch raises as spectra
-    # does, with the same text; (1.2, 0.5) has ||C||_F^2 = 1.69 < k = 2
+def test_chordal_residual_norm_keeps_clamp_guard(cosines, metrics):
+    # cross-Grams with singular values above 1: each branch raises as spectra
+    # does, with the same text; (1.2, 0.5) has ||C||_F^2 = 1.69 < k = 2.
+    # Fubini-Study sends |det| > 1 (2.25 and 1.5 here) to spectra's guard; at
+    # (1.2, 0.5) |det| = 0.6 lies in [0, 1], and its arccos checks nothing
     k = len(cosines)
     a = np.eye(4)[:, :k]
     b = a * np.array(cosines)
@@ -173,9 +185,10 @@ def test_chordal_residual_norm_keeps_clamp_guard(cosines):
     for pair in ((a, b), stack):
         with pytest.raises(ClampError) as from_spectra:
             spectra(*pair)
-        with pytest.raises(ClampError) as from_branch:
-            pair_distances(CHORDAL, *pair)
-        assert str(from_branch.value) == str(from_spectra.value)
+        for metric in metrics:
+            with pytest.raises(ClampError) as from_branch:
+                pair_distances(metric, *pair)
+            assert str(from_branch.value) == str(from_spectra.value)
 
 
 def test_chordal_residual_norm_accepts_valid_near_one_cosines():

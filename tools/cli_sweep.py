@@ -41,11 +41,13 @@ ACOS_1_3 = "1.2309594173407747"  # the common angle of simplex_lines(3) and its 
 # four files whose first bad member follows a good or a sloppy one, a file
 # that is not JSON, three packing problems, two pairs of lines of R^2
 # near the distinctness rule (every principal angle at most 1e-10 rad):
-# 1.2e-10 rad apart in a frame turned by pi/8, and 0.9e-10 rad apart, and
-# three documents nested too deeply for Python's recursion limit: a family
-# file and a packing problem nested 200 000 lists deep, which `json.loads`
-# cannot parse, and the planes above with metadata nested 600 lists deep,
-# which load but which a file derived from them cannot write.
+# 1.2e-10 rad apart in a frame turned by pi/8, and 0.9e-10 rad apart, two
+# members at tiny but distinct angles (planes of R^4 at principal angles
+# 2e-9 and 5e-9, and lines of R^2 1e-8 rad apart), and three documents
+# nested too deeply for Python's recursion limit: a family file and a
+# packing problem nested 200 000 lists deep, which `json.loads` cannot
+# parse, and the planes above with metadata nested 600 lists deep, which
+# load but which a file derived from them cannot write.
 OVERSIZE = {"oversize-1x1.json": [[[1.0]]], "oversize-scalars.json": [1, 2, 3], "oversize-none.json": []}
 PLANE = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
 SLOPPY_PLANE = [[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]]
@@ -115,6 +117,15 @@ INPUTS = {
     "bad-problem.json": {"k": 1, "n": 2, "m": 1, "metric": "thetaK"},
     "near-lines.json": _line_pair(math.pi / 8, 1.2e-10),
     "twin-lines.json": _line_pair(0.0, 0.9e-10),
+    "planted-planes.json": {
+        "schema_version": "1", "kind": "subspaces", "n": 4, "k": 2, "metadata": {},
+        "members": [
+            [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
+            [[math.cos(2e-9), 0.0], [0.0, math.cos(5e-9)],
+             [math.sin(2e-9), 0.0], [0.0, math.sin(5e-9)]],
+        ],
+    },
+    "tiny-lines.json": _line_pair(0.0, 1e-8),
 }
 INPUTS["deep-metadata.json"] = dict(INPUTS["planes.json"], metadata={"nested": _nested_lists(600)})
 NOT_JSON = "not-json.json"
@@ -235,6 +246,12 @@ def _commands() -> list[list[str]]:
         ["verify", "deep-metadata.json", "chordal"],
         ["complement", "deep-metadata.json", "-o", "comp-deep.json"],
         ["construct", "chordal-lift", "in=deep-metadata.json", "-o", "chordal-deep.json"],
+        # members at tiny but distinct angles, under every metric
+        *(argv for name in ("planted-planes.json", "tiny-lines.json") for fmt in FORMATS
+          for argv in (*(["distance", name, metric, "0", "1", *fmt] for metric in METRICS),
+                       ["verify", name, "fubini-study", *fmt])),
+        # a bound with more digits than Python's int-to-str limit allows
+        *(["bounds", "2000", "4000", *fmt] for fmt in FORMATS),
     ]
     return commands
 
