@@ -94,7 +94,7 @@ class SubspaceFamily:
     metadata  free-form map written to the family's file; its "provenance"
               entry says how the family was made
 
-    Construction checks that reps is an (m, n, k) stack with n, k >= 1, each
+    Construction checks that reps is an (m, n, k) stack with 1 <= k <= n, each
     member orthonormal within EPS_ORTH and no two members coincident: no pair
     with every principal angle between their spans at most EPS_ORTH.
     `family[i]`, a slice and iteration build each member they give as a
@@ -106,10 +106,12 @@ class SubspaceFamily:
 
     def __post_init__(self) -> None:
         reps = np.array(self.reps, dtype=float)
-        # m = 0 is allowed; a k > n stack or a NaN fails orthonormality
+        # m = 0 is allowed; a NaN fails orthonormality
         if reps.ndim != 3 or 0 in reps.shape[1:]:
             raise ValueError(f"expected an (m, n, k) stack, got shape {reps.shape}")
-        _, _, k = reps.shape
+        _, n, k = reps.shape
+        if k > n:
+            raise ValueError(f"member dimension k = {k} exceeds ambient dimension n = {n}")
         err = orthonormality_residuals(reps)
         if not (err <= EPS_ORTH).all():
             i = np.argmin(err <= EPS_ORTH)

@@ -48,6 +48,15 @@ def geodesic(spectrum):
 _FROM_SPECTRUM = {"theta_1": theta_1, "theta_k": theta_k, "geodesic": geodesic}
 
 
+def _check_clamp(cross) -> None:
+    """Raise `cosines`' ClampError where a cross-Gram's squared Frobenius norm, a bound on its
+    largest cosine, exceeds 1 + CLAMP_SLACK (about CLAMP_SLACK / 2 below the guard, far more
+    than the norm's roundoff) and so does a cosine.  Lines take no SVD: their norm is |a^T b|."""
+    near = (cross * cross).sum(axis=(-2, -1)) > 1.0 + CLAMP_SLACK
+    if near.any():
+        cosines(cross[near])
+
+
 def pair_distances(metric, a, b, eps_angle: float = EPS_ANGLE):
     """Distances between paired members of two (..., n, k) representative stacks.
 
@@ -57,15 +66,12 @@ def pair_distances(metric, a, b, eps_angle: float = EPS_ANGLE):
     where |det| <= cos(pi/4), which arccos resolves; other pairs take
     arcsin sqrt(1 - prod cos^2) over `spectra`, forming 1 - prod cos^2 as
     -expm1(sum log1p(-sin^2)), free of cancellation.  Every other metric
-    comes from `spectra`.  Both branches keep its ClampError guard:
-    Fubini-Study sends it every |det| > 1, and chordal every cross-Gram whose
-    squared Frobenius norm, a bound on the largest cosine, exceeds
-    1 + CLAMP_SLACK (about CLAMP_SLACK / 2 below the guard, far more than the
-    norm's roundoff).  For lines the norm is |a^T b| and no SVD runs.
+    comes from `spectra`.  Both branches keep its ClampError guard.
     """
     metric = get_metric(metric)
     if metric.id == "fubini_study":
         cross = np.swapaxes(np.asarray(a, dtype=float), -1, -2) @ b
+        _check_clamp(cross)
         # LAPACK's LU returns a 1 x 1 matrix's entry: skipping the call pays for the near test
         det = np.abs(cross[..., 0, 0] if cross.shape[-1] == 1 else np.linalg.det(cross))
         near = det > np.cos(np.pi / 4)
@@ -77,9 +83,7 @@ def pair_distances(metric, a, b, eps_angle: float = EPS_ANGLE):
         return dist[()]  # [()]: scalar for one pair
     if metric.id == "chordal":
         cross, residual = cross_residual(a, b)
-        near = (cross * cross).sum(axis=(-2, -1)) > 1.0 + CLAMP_SLACK
-        if near.any():
-            cosines(cross[near])
+        _check_clamp(cross)
         return np.sqrt(np.square(residual, out=residual).sum(axis=(-2, -1)))
     spectrum = spectra(a, b)
     if metric.id == "theta_F":

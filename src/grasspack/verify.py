@@ -1,6 +1,8 @@
 """Equiangularity and equi-isoclinicity checkers and the determinant certificate.
 
-The size bounds, in exact integer arithmetic, are in `bounds`."""
+The equi-isoclinic deviation is a spectral norm, which does not depend on
+the members' bases.  The size bounds, in exact integer arithmetic, are in
+`bounds`."""
 
 from __future__ import annotations
 
@@ -12,13 +14,24 @@ import numpy as np
 from .bounds import bound_angle_distance
 from .constructions import SubspaceFamily
 from .errors import AlphaZeroError, FamilyTooSmallError
-from .grassmann import pair_chunks
+from .grassmann import cosines, pair_chunks
 from .linalg import EPS_ANGLE, check_eps_angle, check_tolerance
 from .metrics import pair_distances
 from .registry import get_metric
 
 # A certificate of at most this many members keeps its evaluation matrix.
 EVAL_MATRIX_MAX = 50
+
+
+def _pair_stats(reps: np.ndarray, values) -> tuple[float, float, float]:
+    """Sum, minimum and maximum of values(i, j, a, b) over `pair_chunks`; chunk sums add by `math.fsum`."""
+    sums, lo, hi = [], np.inf, -np.inf
+    for i, j, a, b in pair_chunks(reps):
+        chunk = values(i, j, a, b)
+        sums.append(chunk.sum())
+        lo = np.minimum(lo, chunk.min())
+        hi = np.maximum(hi, chunk.max())
+    return math.fsum(sums), lo, hi
 
 
 def _report_doc(report) -> dict:
@@ -94,9 +107,7 @@ def check_equiangular(
 ) -> EquiangularReport:
     """Scan all pairs; the common value is the mean, the verdict its max deviation.
 
-    The scan keeps only each chunk's sum, added with `math.fsum`, and the
-    running minimum and maximum: max |v - mean| = max(max - mean, mean - min),
-    exactly in floating point.
+    max |v - mean| = max(max - mean, mean - min), exactly in floating point.
     """
     check_tolerance(tol)
     check_eps_angle(eps_angle)
@@ -104,14 +115,9 @@ def check_equiangular(
     m = len(family)
     if m < 2:
         raise FamilyTooSmallError(f"equiangularity needs at least 2 members, got {m}")
-    sums, lo, hi = [], np.inf, -np.inf
-    for _, _, a, b in pair_chunks(family.reps):
-        values = pair_distances(metric, a, b, eps_angle)
-        sums.append(values.sum())
-        lo = np.minimum(lo, values.min())
-        hi = np.maximum(hi, values.max())
+    total, lo, hi = _pair_stats(family.reps, lambda i, j, a, b: pair_distances(metric, a, b, eps_angle))
     pair_count = m * (m - 1) // 2
-    common = math.fsum(sums) / pair_count
+    common = total / pair_count
     deviation = float(max(hi - common, common - lo))
     return EquiangularReport(
         metric_id=metric.id,
@@ -126,31 +132,20 @@ def check_equiangular(
 def check_equiisoclinic(family: SubspaceFamily, tol: float = 1e-8) -> EquiisoclinicReport:
     """Check V^T U U^T V = lambda * I over all pairs, with lambda shared family-wide.
 
-    lambda is estimated jointly as the grand mean of the diagonal means, since
-    the definition requires a single value for the whole family.  One scan
-    keeps each chunk's trace sum, added with `math.fsum`, the extreme diagonal
-    entries and the largest off-diagonal magnitude, which bound
-    max |V^T U U^T V - lambda I| exactly.
+    The eigenvalues of V^T U U^T V are the squared cosines of the principal
+    angles.  lambda, one value for the whole family as the definition
+    requires, is their mean over every pair, and the deviation is the largest
+    ||V^T U U^T V - lambda I||_2 = max(max cos^2 - lambda, lambda - min cos^2),
+    which does not depend on the members' bases.
     """
     check_tolerance(tol)
     m = len(family)
     if m < 2:
         raise FamilyTooSmallError(f"equi-isoclinicity needs at least 2 members, got {m}")
-    k = family.k
-    off = ~np.eye(k, dtype=bool)
-    trace_sums, diag_lo, diag_hi, off_hi = [], np.inf, -np.inf, 0.0
-    for _, _, a, b in pair_chunks(family.reps):
-        # V^T U U^T V for U = member i and V = member j
-        cross = np.swapaxes(a, -1, -2) @ b
-        gram = np.swapaxes(cross, -1, -2) @ cross
-        diag = np.diagonal(gram, axis1=-2, axis2=-1)
-        trace_sums.append(diag.sum())
-        diag_lo = np.minimum(diag_lo, diag.min())
-        diag_hi = np.maximum(diag_hi, diag.max())
-        off_hi = np.maximum(off_hi, np.abs(gram[:, off]).max(initial=0.0))
+    total, lo, hi = _pair_stats(family.reps, lambda i, j, a, b: cosines(np.swapaxes(a, -1, -2) @ b) ** 2)
     pair_count = m * (m - 1) // 2
-    lam = math.fsum(trace_sums) / (k * pair_count)
-    deviation = float(max(diag_hi - lam, lam - diag_lo, off_hi))
+    lam = total / (family.k * pair_count)
+    deviation = float(max(hi - lam, lam - lo))
     return EquiisoclinicReport(
         lam=lam,
         pair_count=pair_count,
@@ -187,25 +182,23 @@ def polynomial_certificate(
     lam = math.cos(alpha) ** 2
     target = (1.0 - lam) ** k
     reps = family.reps
+    matrix = np.zeros((m, m)) if m <= EVAL_MATRIX_MAX else None
 
-    def entries(a, b):
-        # f_i(P_j) for U_i in stack a and U_j in stack b: U_i^T P_j U_i = C C^T
-        # with C = U_i^T U_j, so no n x n projector is built
+    def entries(i, j, a, b):
+        # f_i(P_j) for U_i in stack a and U_j in stack b, kept as matrix[i, j] and [j, i] (see
+        # Certificate): U_i^T P_j U_i = C C^T with C = U_i^T U_j, so no n x n projector is built
         cross = np.swapaxes(a, -1, -2) @ b
         shift = lam * np.sum(b * b, axis=(-2, -1)) / k  # lambda tr(P_j) / k
         gram = cross @ np.swapaxes(cross, -1, -2)
-        return np.linalg.det(gram - shift[..., None, None] * np.eye(k))
-
-    diag = entries(reps, reps)
-    max_diag_deviation = float(np.abs(diag - target).max())
-    # each pair i < j once: f_j(P_i) = f_i(P_j) (see Certificate)
-    matrix = np.diag(diag) if m <= EVAL_MATRIX_MAX else None
-    max_offdiag = 0.0
-    for i, j, a, b in pair_chunks(reps):
-        values = entries(a, b)
-        max_offdiag = max(max_offdiag, float(np.abs(values).max()))
+        values = np.linalg.det(gram - shift[..., None, None] * np.eye(k))
         if matrix is not None:
             matrix[i, j] = matrix[j, i] = values
+        return values
+
+    diag = entries(np.arange(m), np.arange(m), reps, reps)
+    max_diag_deviation = float(np.abs(diag - target).max())
+    _, lo, hi = _pair_stats(reps, entries)  # each pair i < j once
+    max_offdiag = float(max(0.0, hi, -lo))  # 0.0 for no pairs, and never -0.0
     bound = bound_angle_distance(k, family.n)
     scaled = tol * (1.0 + abs(1.0 - lam) ** k)
     verdict = max_diag_deviation <= scaled and max_offdiag <= scaled and m <= bound

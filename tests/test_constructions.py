@@ -492,9 +492,10 @@ PLANES = np.eye(3)[:, :2]
         (np.zeros((2, 3, 2, 1)), r"expected an \(m, n, k\) stack, got shape \(2, 3, 2, 1\)"),
         (np.zeros((2, 3, 0)), r"expected an \(m, n, k\) stack, got shape \(2, 3, 0\)"),
         (np.zeros((2, 0, 1)), r"expected an \(m, n, k\) stack, got shape \(2, 0, 1\)"),
+        (np.empty((0, 2, 3)), r"member dimension k = 3 exceeds ambient dimension n = 2"),
         (np.stack([PLANES, 2 * PLANES]), r"member 1: representative is not orthonormal \(residual 3.000e\+00\)"),
     ],
-    ids=["2d", "4d", "k0", "n0", "not-orthonormal"],
+    ids=["2d", "4d", "k0", "n0", "empty-k-above-n", "not-orthonormal"],
 )
 def test_family_rejects_a_malformed_stack(reps, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -168,16 +168,15 @@ def test_chordal_residual_norm_on_planted_angles(k):
     ("cosines", "metrics"),
     [
         ((1.5, 1.5), (CHORDAL, FUBINI_STUDY)),
-        ((1.2, 0.5), (CHORDAL,)),
+        ((1.2, 0.5), (CHORDAL, FUBINI_STUDY)),
         ((1.5,), (CHORDAL, FUBINI_STUDY)),
     ],
     ids=["both-above", "norm-below-k", "line"],
 )
 def test_chordal_residual_norm_keeps_clamp_guard(cosines, metrics):
     # cross-Grams with singular values above 1: each branch raises as spectra
-    # does, with the same text; (1.2, 0.5) has ||C||_F^2 = 1.69 < k = 2.
-    # Fubini-Study sends |det| > 1 (2.25 and 1.5 here) to spectra's guard; at
-    # (1.2, 0.5) |det| = 0.6 lies in [0, 1], and its arccos checks nothing
+    # does, with the same text; (1.2, 0.5) has ||C||_F^2 = 1.69 < k = 2, and
+    # |det| = 0.6 in [0, 1]
     k = len(cosines)
     a = np.eye(4)[:, :k]
     b = a * np.array(cosines)

@@ -114,7 +114,8 @@ def test_check_equiisoclinic_matches_two_pass_formula(multi_chunk_family, chunk_
     report = check_equiisoclinic(multi_chunk_family)
     assert report.pair_count == iu.size
     assert abs(report.lam - lam) <= 1e-15
-    assert abs(report.max_deviation - np.max(np.abs(gram - lam * np.eye(k)))) <= 1e-15
+    # max ||gram - lam I||_2 over the pairs: the largest |eigenvalue - lam| of the symmetric grams
+    assert abs(report.max_deviation - np.abs(np.linalg.eigvalsh(gram) - lam).max()) <= 1e-15
 
 
 def test_check_equiangular_streams_in_bounded_memory():
@@ -122,15 +123,16 @@ def test_check_equiangular_streams_in_bounded_memory():
     vectors = rng.standard_normal((1500, 4))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     family = SubspaceFamily(np.stack([Subspace(v[:, None]).rep for v in vectors]))
-    tracemalloc.start()
-    try:
-        report = check_equiangular(family, THETA_K)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.pair_count == 1_124_250
-    # storing every pair's distance alone would take 9 MB
-    assert peak < 2_000_000
+    for check in (lambda f: check_equiangular(f, THETA_K), check_equiisoclinic):
+        tracemalloc.start()
+        try:
+            report = check(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.pair_count == 1_124_250
+        # storing every pair's value alone would take 9 MB
+        assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("bad", [math.nan, 10.0])
@@ -155,6 +157,22 @@ def test_check_equiisoclinic_rotated_pair():
     report = check_equiisoclinic(SubspaceFamily(np.stack([u.rep, v.rep])))
     assert report.verdict
     assert report.lam == pytest.approx(np.cos(t) ** 2, abs=1e-12)
+
+
+def test_check_equiisoclinic_does_not_depend_on_the_basis():
+    # cos^2 = 0.5 +- 1.2e-8: V^T U U^T V - I / 2 has spectral norm 1.2e-8 > tol in every basis
+    # of V, while its largest entry falls to 1.2e-8 / sqrt(2) when V's basis turns by pi / 8
+    t = np.arccos(np.sqrt(0.5 + np.array([1.2e-8, -1.2e-8])))
+    u = np.eye(4)[:, :2]
+    v = u * np.cos(t) + np.eye(4)[:, 2:] * np.sin(t)
+    reports = []
+    for phi in (0.0, np.pi / 8, np.pi / 4, 1.0):
+        turn = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+        reports.append(check_equiisoclinic(SubspaceFamily(np.stack([u, v @ turn]))))
+    for report in reports:
+        assert not report.verdict
+        assert abs(report.max_deviation - reports[0].max_deviation) <= 1e-15
+        assert report.max_deviation == pytest.approx(1.2e-8, rel=1e-6)
 
 
 def test_check_equiisoclinic_orthogonal_planes():
