@@ -120,15 +120,16 @@ def cosines(cross) -> np.ndarray:
     """Singular values, descending, of a (..., k, k) stack of cross-Grams.
 
     These are the cosines of the principal angles; for lines (k = 1) the one
-    singular value is |a^T b|, taken directly.  Raises ClampError when one
-    exceeds 1 + CLAMP_SLACK: for orthonormal representatives that is a bug,
-    not roundoff.
+    singular value is |a^T b|, taken directly.  Raises ClampError above
+    1 + CLAMP_SLACK + k EPS_ORTH: |U^T U - I| <= EPS_ORTH entrywise gives
+    ||U||_2^2 <= 1 + k EPS_ORTH, so no cosine ||U^T V||_2 between members
+    orthonormal within EPS_ORTH exceeds 1 + k EPS_ORTH by more than roundoff.
     """
     if cross.shape[-1] == 1:
         cos = np.abs(cross[..., 0])
     else:
         cos = np.linalg.svd(cross, compute_uv=False)
-    if (cos > 1.0 + CLAMP_SLACK).any():
+    if (cos > 1.0 + CLAMP_SLACK + cross.shape[-1] * EPS_ORTH).any():
         raise ClampError(f"cosine {float(cos.max())!r} is too far above 1 to be roundoff")
     return cos
 

@@ -10,7 +10,8 @@ One threshold is a user choice: `eps_angle`, the angle in radians below
 which a principal angle counts as zero (the CLI's --tol).  Functions that
 threshold angles take it as a parameter defaulting to EPS_ANGLE and check it
 with `check_eps_angle`; verdict thresholds go through `check_tolerance`.  The
-orthonormality bound EPS_ORTH and the cosine guard CLAMP_SLACK are fixed.
+orthonormality bound EPS_ORTH and CLAMP_SLACK, the roundoff allowed above the
+cosine bound 1 + k EPS_ORTH that it implies, are fixed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import RankDeficientError
 EPS_ORTH = 1e-10
 # Default eps_angle: principal angles below this many radians count as zero.
 EPS_ANGLE = 1e-7
-# Cosines may exceed 1 by roundoff; beyond this it is a bug.
+# Cosines may exceed 1 + k EPS_ORTH by roundoff; beyond this it is a bug.
 CLAMP_SLACK = 1e-8
 
 

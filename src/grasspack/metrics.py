@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grassmann import Subspace, cosines, cross_residual, require_same_grassmannian, spectra
-from .linalg import CLAMP_SLACK, EPS_ANGLE, check_eps_angle
+from .grassmann import Subspace, cross_residual, require_same_grassmannian, spectra
+from .linalg import EPS_ANGLE, check_eps_angle
 from .registry import get_metric
 
 
@@ -48,30 +48,22 @@ def geodesic(spectrum):
 _FROM_SPECTRUM = {"theta_1": theta_1, "theta_k": theta_k, "geodesic": geodesic}
 
 
-def _check_clamp(cross) -> None:
-    """Raise `cosines`' ClampError where a cross-Gram's squared Frobenius norm, a bound on its
-    largest cosine, exceeds 1 + CLAMP_SLACK (about CLAMP_SLACK / 2 below the guard, far more
-    than the norm's roundoff) and so does a cosine.  Lines take no SVD: their norm is |a^T b|."""
-    near = (cross * cross).sum(axis=(-2, -1)) > 1.0 + CLAMP_SLACK
-    if near.any():
-        cosines(cross[near])
-
-
 def pair_distances(metric, a, b, eps_angle: float = EPS_ANGLE):
     """Distances between paired members of two (..., n, k) representative stacks.
 
-    The stacks broadcast against each other.  Chordal is read from the
-    Frobenius norms of the residuals B - A (A^T B), whose singular values are
-    the sines of the principal angles.  Fubini-Study is arccos |det(A^T B)|
-    where |det| <= cos(pi/4), which arccos resolves; other pairs take
-    arcsin sqrt(1 - prod cos^2) over `spectra`, forming 1 - prod cos^2 as
-    -expm1(sum log1p(-sin^2)), free of cancellation.  Every other metric
-    comes from `spectra`.  Both branches keep its ClampError guard.
+    The stacks broadcast against each other and hold members orthonormal
+    within EPS_ORTH, as every `Subspace`, family member and QR output does;
+    only `spectra` checks them further, with its ClampError tripwire.  Chordal
+    is read from the Frobenius norms of the residuals B - A (A^T B), whose
+    singular values are the sines of the principal angles.  Fubini-Study is
+    arccos |det(A^T B)| where |det| <= cos(pi/4), which arccos resolves;
+    other pairs take arcsin sqrt(1 - prod cos^2) over `spectra`, forming
+    1 - prod cos^2 as -expm1(sum log1p(-sin^2)), free of cancellation.  Every
+    other metric comes from `spectra`.
     """
     metric = get_metric(metric)
     if metric.id == "fubini_study":
         cross = np.swapaxes(np.asarray(a, dtype=float), -1, -2) @ b
-        _check_clamp(cross)
         # LAPACK's LU returns a 1 x 1 matrix's entry: skipping the call pays for the near test
         det = np.abs(cross[..., 0, 0] if cross.shape[-1] == 1 else np.linalg.det(cross))
         near = det > np.cos(np.pi / 4)
@@ -82,8 +74,7 @@ def pair_distances(metric, a, b, eps_angle: float = EPS_ANGLE):
             dist[near] = np.arcsin(np.sqrt(-np.expm1(np.log1p(-sin2).sum(axis=-1))))
         return dist[()]  # [()]: scalar for one pair
     if metric.id == "chordal":
-        cross, residual = cross_residual(a, b)
-        _check_clamp(cross)
+        _, residual = cross_residual(a, b)
         return np.sqrt(np.square(residual, out=residual).sum(axis=(-2, -1)))
     spectrum = spectra(a, b)
     if metric.id == "theta_F":

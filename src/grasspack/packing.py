@@ -208,11 +208,13 @@ def _anneal(problem: PackingProblem, metric: Metric):
     if not independent.all():
         raise RankDeficientError("initial members are numerically dependent")
 
-    # pairs in np.triu_indices order; member r sits in pairs pos[r] opposite partner[r]
+    # pairs in np.triu_indices order; member r sits in pairs pos[r] opposite partner[r], ascending
     iu, ju = np.triu_indices(m, 1)
     npairs = len(iu)
-    pos = np.array([np.flatnonzero((iu == r) | (ju == r)) for r in range(m)])
-    partner = np.where(iu[pos] == np.arange(m)[:, None], ju[pos], iu[pos])
+    pair_index = np.empty((m, m), dtype=int)
+    pair_index[iu, ju] = pair_index[ju, iu] = np.arange(npairs)
+    partner = np.arange(m - 1) + (np.arange(m - 1) >= np.arange(m)[:, None])
+    pos = pair_index[np.arange(m)[:, None], partner]
 
     def score(values, beta):
         """(Metropolis score, true objective) per row; the score is maximized.

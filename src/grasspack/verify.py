@@ -183,12 +183,13 @@ def polynomial_certificate(
     target = (1.0 - lam) ** k
     reps = family.reps
     matrix = np.zeros((m, m)) if m <= EVAL_MATRIX_MAX else None
+    traces = np.sum(reps * reps, axis=(-2, -1))  # tr(P_j) = ||U_j||_F^2
 
     def entries(i, j, a, b):
         # f_i(P_j) for U_i in stack a and U_j in stack b, kept as matrix[i, j] and [j, i] (see
         # Certificate): U_i^T P_j U_i = C C^T with C = U_i^T U_j, so no n x n projector is built
         cross = np.swapaxes(a, -1, -2) @ b
-        shift = lam * np.sum(b * b, axis=(-2, -1)) / k  # lambda tr(P_j) / k
+        shift = lam * traces[j] / k  # lambda tr(P_j) / k
         gram = cross @ np.swapaxes(cross, -1, -2)
         values = np.linalg.det(gram - shift[..., None, None] * np.eye(k))
         if matrix is not None:

@@ -17,6 +17,8 @@ inner products are det(U^T V) by Cauchy-Binet (`plucker_embed`), and the
 spectrum forms of the chordal and Fubini-Study distances (`chordal`,
 `fubini_study_from_spectrum`), which `metrics.pair_distances` reads from the
 residuals and, where arccos resolves it, a determinant instead.
+`loose_pair` builds two members with known principal angles that are
+orthonormal only within the member rule's bound.
 """
 
 import itertools
@@ -184,6 +186,21 @@ def fubini_study_from_spectrum(spectrum):
     """Product-of-cosines form of the Fubini-Study distance: arccos(prod cos theta_i)."""
     # angles in [0, pi/2] have cosines in [0, 1], so their product needs no clamp
     return np.arccos(np.prod(np.cos(np.asarray(spectrum, dtype=float)), axis=-1))
+
+
+def loose_pair(k: int, n: int, eps: float, angle: float, rng) -> np.ndarray:
+    """Two members of Gr(k, n), stacked, with U^T U = I + eps J (J all ones) up to roundoff.
+
+    Each is orthonormal within `eps` entrywise while ||U^T U - I||_2 = k eps,
+    so the largest cosine between them exceeds 1 by about k eps.  The second
+    is the first with its first column turned by `angle` out of the span, so
+    the principal angles are k - 1 zeros and `angle`, up to O(eps angle).
+    """
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    u = q[:, :k] @ (np.eye(k) + (np.sqrt(1.0 + k * eps) - 1.0) / k)  # Q (I + eps J)^(1/2)
+    v = u.copy()
+    v[:, 0] = np.cos(angle) * u[:, 0] + np.sin(angle) * q[:, k]
+    return np.stack([u, v])
 
 
 def anneal_reference(problem, metric):

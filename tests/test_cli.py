@@ -24,7 +24,7 @@ from grasspack.metrics import evaluate
 from grasspack.packing import perturb
 from grasspack.verify import check_equiisoclinic
 
-from _oracles import projection_matrix
+from _oracles import loose_pair, projection_matrix
 
 
 @pytest.fixture()
@@ -338,6 +338,15 @@ def test_verify_exit_codes(lines_file, lift_file):
     assert main(["verify", str(lift_file), "thetaF"]) == 0
     assert main(["verify", str(lift_file), "theta1"]) == 1
     assert main(["verify", str(lift_file), "nosuchmetric"]) == 2
+
+
+def test_members_the_orthonormality_rule_admits_exit_0(tmp_path, capsys):
+    # cosines up to 1 + 120 * 0.95e-10 between members orthonormal within EPS_ORTH
+    path = tmp_path / "loose.json"
+    save_family(path, SubspaceFamily(loose_pair(120, 240, 0.95e-10, 1e-6, np.random.default_rng(97))))
+    assert main(["verify", str(path), "fubini-study"]) == 0
+    assert main(["angles", str(path), "0", "1"]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_verify_single_member_exit_2(tmp_path):

@@ -122,9 +122,11 @@ def test_principal_angles_match_eigenvalue_route():
 
 
 def test_spectra_rejects_cosines_above_one():
-    # a non-orthonormal stack gives a cosine of 1.5: a bug, not roundoff
-    with pytest.raises(ClampError):
-        spectra(np.eye(3)[:, :2], 1.5 * np.eye(3)[:, :2])
+    # non-orthonormal stacks give cosines of 1.5, or 1.2 beside 0.5 (||C||_F^2 = 1.69 < k = 2):
+    # a bug, not roundoff
+    for scale in (1.5, np.array([1.2, 0.5])):
+        with pytest.raises(ClampError):
+            spectra(np.eye(3)[:, :2], scale * np.eye(3)[:, :2])
     lines = np.eye(3)[:, :1]
     with pytest.raises(ClampError):
         spectra(np.stack([lines, lines]), np.stack([lines, 1.5 * lines]))

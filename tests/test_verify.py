@@ -32,6 +32,7 @@ from grasspack.bounds import (
     size_chrss,
 )
 from grasspack.grassmann import Subspace, random_subspace, subspace_from_spanning
+from grasspack.linalg import CLAMP_SLACK, EPS_ORTH
 from grasspack.metrics import pair_distances
 from grasspack.registry import CHORDAL, FUBINI_STUDY, METRICS, THETA_1, THETA_F, THETA_K
 from grasspack.verify import (
@@ -40,7 +41,7 @@ from grasspack.verify import (
     check_equiisoclinic,
 )
 
-from _oracles import projection_matrix
+from _oracles import loose_pair, projection_matrix
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +72,20 @@ def test_check_equiangular_lift_theta_1_fails(lift9):
     report = check_equiangular(lift9, THETA_1)
     assert not report.verdict
     assert report.max_deviation > 0.1  # mixes 0 and pi/3
+
+
+def test_check_equiangular_reads_members_the_orthonormality_rule_admits():
+    # U^T U = I + 0.95e-10 J is within EPS_ORTH entrywise, yet the cosines reach
+    # 1 + 120 * 0.95e-10, above 1 + CLAMP_SLACK; every metric reads the planted
+    # angles (0, ..., 0, 1e-6) within k EPS_ORTH
+    k, angle = 120, 1e-6
+    family = SubspaceFamily(loose_pair(k, 2 * k, 0.95e-10, angle, np.random.default_rng(97)))
+    cross = family.reps[0].T @ family.reps[1]
+    assert np.linalg.svd(cross, compute_uv=False)[0] > 1.0 + CLAMP_SLACK
+    for metric in METRICS.values():
+        want = 0.0 if metric is THETA_1 else angle
+        report = check_equiangular(family, metric)
+        assert abs(report.common_value - want) <= k * EPS_ORTH, metric.id
 
 
 def test_check_equiangular_family_too_small(simplex_family):

@@ -43,11 +43,13 @@ ACOS_1_3 = "1.2309594173407747"  # the common angle of simplex_lines(3) and its 
 # near the distinctness rule (every principal angle at most 1e-10 rad):
 # 1.2e-10 rad apart in a frame turned by pi/8, and 0.9e-10 rad apart, two
 # members at tiny but distinct angles (planes of R^4 at principal angles
-# 2e-9 and 5e-9, and lines of R^2 1e-8 rad apart), and three documents
-# nested too deeply for Python's recursion limit: a family file and a
-# packing problem nested 200 000 lists deep, which `json.loads` cannot
-# parse, and the planes above with metadata nested 600 lists deep, which
-# load but which a file derived from them cannot write.
+# 2e-9 and 5e-9, and lines of R^2 1e-8 rad apart), two members of
+# Gr(120, 240) 1e-6 rad apart that are orthonormal only within 0.95e-10
+# (their cosines reach 1 + 1.14e-8), and three documents nested too deeply
+# for Python's recursion limit: a family file and a packing problem nested
+# 200 000 lists deep, which `json.loads` cannot parse, and the planes above
+# with metadata nested 600 lists deep, which load but which a file derived
+# from them cannot write.
 OVERSIZE = {"oversize-1x1.json": [[[1.0]]], "oversize-scalars.json": [1, 2, 3], "oversize-none.json": []}
 PLANE = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
 SLOPPY_PLANE = [[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]]
@@ -58,6 +60,16 @@ MISSHAPED = [[1.0, 0.0]]
 def _line_pair(frame: float, angle: float) -> dict:
     members = [[math.cos(frame + t), math.sin(frame + t)] for t in (0.0, angle)]
     return {"schema_version": "1", "kind": "lines", "n": 2, "k": 1, "members": members}
+
+
+def _loose_pair(k: int, eps: float, angle: float) -> dict:
+    # U^T U = I + eps J (J all ones): the first k rows are (I + eps J)^(1/2) = I + c J;
+    # the second member turns the first column by `angle` into row k
+    c = (math.sqrt(1.0 + k * eps) - 1.0) / k
+    u = [[float(i == j) + c for j in range(k)] for i in range(k)] + [[0.0] * k for _ in range(k)]
+    v = [[x * math.cos(angle) if j == 0 else x for j, x in enumerate(row)] for row in u]
+    v[k][0] = math.sin(angle)
+    return {"schema_version": "1", "kind": "subspaces", "n": 2 * k, "k": k, "members": [u, v]}
 
 
 def _nested_lists(depth: int) -> list:
@@ -126,6 +138,7 @@ INPUTS = {
         ],
     },
     "tiny-lines.json": _line_pair(0.0, 1e-8),
+    "loose-pair.json": _loose_pair(120, 0.95e-10, 1e-6),
 }
 INPUTS["deep-metadata.json"] = dict(INPUTS["planes.json"], metadata={"nested": _nested_lists(600)})
 NOT_JSON = "not-json.json"
@@ -250,6 +263,11 @@ def _commands() -> list[list[str]]:
         *(argv for name in ("planted-planes.json", "tiny-lines.json") for fmt in FORMATS
           for argv in (*(["distance", name, metric, "0", "1", *fmt] for metric in METRICS),
                        ["verify", name, "fubini-study", *fmt])),
+        # members orthonormal within EPS_ORTH whose cosines exceed 1 + CLAMP_SLACK
+        *(argv for fmt in FORMATS
+          for argv in (["angles", "loose-pair.json", "0", "1", *fmt],
+                       ["distance", "loose-pair.json", "chordal", "0", "1", *fmt],
+                       *(["verify", "loose-pair.json", metric, *fmt] for metric in ("thetaF", "fubini-study")))),
         # a bound with more digits than Python's int-to-str limit allows
         *(["bounds", "2000", "4000", *fmt] for fmt in FORMATS),
     ]
