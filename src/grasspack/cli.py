@@ -155,11 +155,10 @@ def cmd_construct(args) -> tuple:
     types, build, _ = CONSTRUCTIONS[args.kind]
     made = build(constructions, family_io, _parse_params(args.params, types))
     out = Path(args.out)
+    family_io.save_family(out, made)
     if isinstance(made, constructions.LineSet):
-        family_io.save_lineset(out, made)
         summary = f"{made.size} lines in R^{made.n}"
     else:
-        family_io.save_family(out, made)
         summary = f"{len(made)} subspaces in Gr({made.k},{made.n})"
     return 0, None, [f"wrote {summary} to {out}"]
 

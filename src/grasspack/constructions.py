@@ -1,9 +1,9 @@
 """Generators of equiangular line sets and equiangular subspace families.
 
-Covers the block-diagonal lift of N equiangular lines to N^k subspaces of
-Gr(k, kn) whose pairwise principal angles all lie in {0, alpha}, the
-dimension lift that preserves chordal distances, and the Pluecker embedding
-into the exterior power.
+Line sets are k = 1 families.  Covers the block-diagonal lift of N
+equiangular lines to N^k subspaces of Gr(k, kn) whose pairwise principal
+angles all lie in {0, alpha}, the dimension lift that preserves chordal
+distances, and the Pluecker embedding into the exterior power.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AngleZeroError, FamilyTooSmallError, NotEquiangularError
-from .grassmann import PAIR_CHUNK_ENTRIES, Subspace, complements, pair_chunks, sign_fix_columns, spectra
+from .grassmann import (
+    PAIR_CHUNK_ENTRIES, Subspace, complements, pair_chunks, pair_stats, sign_fix_columns, spectra
+)
 from .linalg import EPS_ORTH, check_tolerance, orthonormality_residuals, orthonormalize_stack
 
 
@@ -24,66 +26,19 @@ from .linalg import EPS_ORTH, check_tolerance, orthonormality_residuals, orthono
 _COINCIDENT_SLACK = 1e-6
 
 
-def _common_cos(vectors: np.ndarray, tol: float, failure: str) -> float:
-    """The mean |<u, v>| over distinct pairs of rows (0 for one row); NotEquiangularError,
-    its message led by `failure`, when a pair's |<u, v>| deviates from it by more than tol."""
-    pairs = np.abs(vectors @ vectors.T)[np.triu_indices(vectors.shape[0], 1)]
-    common = float(pairs.mean()) if pairs.size else 0.0
-    dev = float(np.max(np.abs(pairs - common), initial=0.0))
-    if dev > tol:
-        raise NotEquiangularError(f"{failure} spread {dev:.3e} exceeds {tol:.1e}")
+def _common_abs_det(reps: np.ndarray, tol: float, failure: str) -> float:
+    """The mean |det(U_i^T U_j)| over distinct pairs of a stack (0 for one member): |<u, v>|
+    for lines, |<phi(U_i), phi(U_j)>| of the Pluecker vectors for k > 1; NotEquiangularError,
+    its message led by `failure`, when a pair's value deviates from it by more than tol."""
+    def abs_det(i, j, a, b):
+        cross = np.swapaxes(a, -1, -2) @ b
+        return np.abs(cross[..., 0, 0] if cross.shape[-1] == 1 else np.linalg.det(cross))
+
+    common, lo, hi = pair_stats(reps, abs_det)
+    spread = float(max(hi - common, common - lo))
+    if spread > tol:
+        raise NotEquiangularError(f"{failure} spread {spread:.3e} exceeds {tol:.1e}")
     return common
-
-
-@dataclass(frozen=True, eq=False, init=False)
-class LineSet:
-    """N lines through the origin of R^n sharing one pairwise angle.
-
-    vectors     (N, n) read-only array, one unit vector per line
-    common_cos  the shared |<u, v>| over distinct pairs, in [0, 1) (0 for one line)
-    metadata    free-form map written to the set's file; never "common_cos", which is measured
-
-    `LineSet(vectors, tol=1e-9, metadata=None)` measures common_cos and raises
-    NotEquiangularError when a pair's |<u, v>| deviates from it by more than
-    tol, which the set does not keep.  Unit norm is the family rule for
-    k = 1, |<u, u> - 1| <= EPS_ORTH, so every line set lifts.
-    """
-
-    vectors: np.ndarray
-    common_cos: float
-    metadata: dict
-
-    def __init__(self, vectors, tol: float = 1e-9, metadata: dict | None = None) -> None:
-        check_tolerance(tol)
-        vectors = np.array(vectors, dtype=float)
-        if vectors.ndim != 2 or vectors.shape[0] < 1 or vectors.shape[1] < 1:
-            raise ValueError(f"expected an (N, n) vector array, got {vectors.shape}")
-        if not (orthonormality_residuals(vectors[:, :, None]) <= EPS_ORTH).all():
-            raise ValueError("line vectors must have unit norm")
-        common = _common_cos(vectors, tol, "line set is not equiangular: |<u,v>|")
-        if not common < 1.0:
-            raise ValueError(f"common_cos must lie in [0, 1), got {common}")
-        vectors.setflags(write=False)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "common_cos", common)
-        metadata = {key: value for key, value in (metadata or {}).items() if key != "common_cos"}
-        object.__setattr__(self, "metadata", metadata)
-
-    @property
-    def size(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[1]
-
-    @property
-    def common_angle(self) -> float:
-        """The shared angle arccos(common_cos), in (0, pi/2]."""
-        return float(math.acos(self.common_cos))
-
-    def __repr__(self) -> str:
-        return f"LineSet(size={self.size}, n={self.n}, common_cos={self.common_cos:.6g})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,6 +129,51 @@ class SubspaceFamily:
         return f"SubspaceFamily(m={len(self)}, k={self.k}, n={self.n})"
 
 
+@dataclass(frozen=True, eq=False, init=False)
+class LineSet(SubspaceFamily):
+    """N lines through the origin of R^n sharing one pairwise angle: a k = 1 family.
+
+    common_cos  the shared |<u, v>| over distinct pairs, in [0, 1) (0 for one line)
+
+    `LineSet(vectors, tol=1e-9, metadata=None)` checks the (N, n) vectors as a
+    family, whose orthonormality rule for k = 1 is unit norm, so every line set
+    lifts.  It measures common_cos with `pair_stats` and raises
+    NotEquiangularError when a pair's |<u, v>| deviates from it by more than
+    tol, which the set does not keep; its metadata never keeps "common_cos".
+    """
+
+    common_cos: float
+
+    def __init__(self, vectors, tol: float = 1e-9, metadata: dict | None = None) -> None:
+        check_tolerance(tol)
+        vectors = np.asarray(vectors, dtype=float)
+        if vectors.ndim != 2 or 0 in vectors.shape:
+            raise ValueError(f"expected an (N, n) vector array, got {vectors.shape}")
+        metadata = {key: value for key, value in (metadata or {}).items() if key != "common_cos"}
+        super().__init__(vectors[:, :, None], metadata)
+        common = _common_abs_det(self.reps, tol, "line set is not equiangular: |<u,v>|")
+        if not common < 1.0:
+            raise ValueError(f"common_cos must lie in [0, 1), got {common}")
+        object.__setattr__(self, "common_cos", common)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The (N, n) read-only unit vectors, a view of reps."""
+        return self.reps[:, :, 0]
+
+    @property
+    def size(self) -> int:
+        return len(self)
+
+    @property
+    def common_angle(self) -> float:
+        """The shared angle arccos(common_cos), in (0, pi/2]."""
+        return float(math.acos(self.common_cos))
+
+    def __repr__(self) -> str:
+        return f"LineSet(size={self.size}, n={self.n}, common_cos={self.common_cos:.6g})"
+
+
 def simplex_lines(n: int) -> LineSet:
     """n+1 unit vectors in R^n with pairwise inner product -1/n (regular simplex).
 
@@ -260,19 +260,19 @@ def plucker_line_family(family: SubspaceFamily) -> LineSet:
 
     The pairwise |<phi(U_i), phi(U_j)>| = |det(U_i^T U_j)| must share one
     value (cos of the common Fubini-Study angle) within 1e-8; otherwise
-    NotEquiangularError names the input family.
+    NotEquiangularError names the input family.  That check reads the
+    members' k x k determinants, before any Pluecker vector is formed.
     """
     if len(family) < 1:
         raise FamilyTooSmallError("Pluecker lines need at least one family member")
+    _common_abs_det(family.reps, 1e-8, "input family is not Fubini-Study-equiangular: |det(U_i^T U_j)|")
     rows = np.array(list(itertools.combinations(range(family.n), family.k)))
     phis = np.empty((len(family), len(rows)))
     # one det batch per run of members whose k x k minors fit in PAIR_CHUNK_ENTRIES
     step = max(PAIR_CHUNK_ENTRIES // rows.size // family.k, 1)
     for lo in range(0, len(family), step):
         phis[lo : lo + step] = np.linalg.det(family.reps[lo : lo + step, rows])
-    norms = np.linalg.norm(phis, axis=1)
-    phis /= norms[:, None]
-    _common_cos(phis, 1e-8, "input family is not Fubini-Study-equiangular: |det(U_i^T U_j)|")
+    phis /= np.linalg.norm(phis, axis=1)[:, None]
     metadata = {"construction": "plucker", "source_k": family.k, "source_n": family.n}
     return LineSet(sign_fix_columns(phis.T).T, tol=1e-8, metadata=metadata)
 

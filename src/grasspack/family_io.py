@@ -2,6 +2,8 @@
 
 Files carry schema_version "1", a kind ("lines" or "subspaces"), the (n, k)
 shape, the members as row-major nested lists, and a free-form metadata map.
+`family_to_doc` and `save_family` write every family; a LineSet, a k = 1
+family, as kind "lines" with its measured common_cos first in the metadata.
 `save_packing_result` writes the "packing_result" file of `grasspack pack`
 (the problem, the run and the family doc under its "family" key), and the
 readers take it as that family doc.
@@ -100,19 +102,17 @@ def _json_text(value, pad: str) -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
-def _doc(kind: str, n: int, k: int, members: list, metadata: dict) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "kind": kind, "n": n, "k": k, "members": members,
-            "metadata": metadata}
-
-
-def lineset_to_doc(lines: LineSet) -> dict:
-    meta = {"common_cos": float(lines.common_cos), **lines.metadata}
-    return _doc(KIND_LINES, lines.n, 1, lines.vectors.tolist(), meta)
-
-
 def family_to_doc(family: SubspaceFamily) -> dict:
+    """The family's file doc; a LineSet writes kind "lines", its vectors as the
+    members and its measured common_cos first in the metadata."""
+    from .constructions import LineSet
+
     # a copy: the doc is the caller's to change, the family's metadata is not
-    return _doc(KIND_SUBSPACES, family.n, family.k, family.reps.tolist(), dict(family.metadata))
+    kind, members, metadata = KIND_SUBSPACES, family.reps, dict(family.metadata)
+    if isinstance(family, LineSet):
+        kind, members, metadata = KIND_LINES, family.vectors, {"common_cos": family.common_cos, **metadata}
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, "n": family.n, "k": family.k,
+            "members": members.tolist(), "metadata": metadata}
 
 
 def _validate_doc(doc) -> tuple[str, int, int, list, dict]:
@@ -255,10 +255,6 @@ def load_family(path) -> SubspaceFamily:
 
 def load_lineset(path) -> LineSet:
     return parse_lineset_doc(read_json(path))
-
-
-def save_lineset(path, lines: LineSet) -> None:
-    Path(path).write_text(dumps_json(lineset_to_doc(lines)), encoding="utf-8")
 
 
 def save_family(path, family: SubspaceFamily) -> None:

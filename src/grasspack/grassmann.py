@@ -11,11 +11,13 @@ residuals' Frobenius norms from it without taking angles.  Every family
 scan (member distinctness, the equiangular and equi-isoclinic checks and
 the determinant certificate) visits the m(m-1)/2 member pairs through
 `pair_chunks`, a bounded chunk at a time, so no scan holds more than
-PAIR_CHUNK_ENTRIES entries per representative stack.
+PAIR_CHUNK_ENTRIES entries per representative stack; `pair_stats` reduces
+a per-pair value over those chunks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +103,19 @@ def pair_chunks(reps: np.ndarray):
         for lo in range(i + 1, m, size):
             hi = min(lo + size, m)
             yield np.full(hi - lo, i), np.arange(lo, hi), reps[i], reps[lo:hi]
+
+
+def pair_stats(reps: np.ndarray, values) -> tuple[float, float, float]:
+    """Mean, minimum and maximum of values(i, j, a, b) over `pair_chunks` (0, inf, -inf
+    for no pairs); chunk sums add by `math.fsum`, and the mean divides by the values' count."""
+    sums, count, lo, hi = [], 0, np.inf, -np.inf
+    for i, j, a, b in pair_chunks(reps):
+        chunk = values(i, j, a, b)
+        sums.append(chunk.sum())
+        count += chunk.size
+        lo = np.minimum(lo, chunk.min())
+        hi = np.maximum(hi, chunk.max())
+    return math.fsum(sums) / count if count else 0.0, lo, hi
 
 
 def cross_residual(a, b) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 """Equiangularity and equi-isoclinicity checkers and the determinant certificate.
 
-The equi-isoclinic deviation is a spectral norm, which does not depend on
+All three reduce a per-pair value with `grassmann.pair_stats`.  The
+equi-isoclinic deviation is a spectral norm, which does not depend on
 the members' bases.  The size bounds, in exact integer arithmetic, are in
 `bounds`."""
 
@@ -14,24 +15,13 @@ import numpy as np
 from .bounds import bound_angle_distance
 from .constructions import SubspaceFamily
 from .errors import AlphaZeroError, FamilyTooSmallError
-from .grassmann import cosines, pair_chunks
+from .grassmann import cosines, pair_stats
 from .linalg import EPS_ANGLE, check_eps_angle, check_tolerance
 from .metrics import pair_distances
 from .registry import get_metric
 
 # A certificate of at most this many members keeps its evaluation matrix.
 EVAL_MATRIX_MAX = 50
-
-
-def _pair_stats(reps: np.ndarray, values) -> tuple[float, float, float]:
-    """Sum, minimum and maximum of values(i, j, a, b) over `pair_chunks`; chunk sums add by `math.fsum`."""
-    sums, lo, hi = [], np.inf, -np.inf
-    for i, j, a, b in pair_chunks(reps):
-        chunk = values(i, j, a, b)
-        sums.append(chunk.sum())
-        lo = np.minimum(lo, chunk.min())
-        hi = np.maximum(hi, chunk.max())
-    return math.fsum(sums), lo, hi
 
 
 def _report_doc(report) -> dict:
@@ -115,13 +105,11 @@ def check_equiangular(
     m = len(family)
     if m < 2:
         raise FamilyTooSmallError(f"equiangularity needs at least 2 members, got {m}")
-    total, lo, hi = _pair_stats(family.reps, lambda i, j, a, b: pair_distances(metric, a, b, eps_angle))
-    pair_count = m * (m - 1) // 2
-    common = total / pair_count
+    common, lo, hi = pair_stats(family.reps, lambda i, j, a, b: pair_distances(metric, a, b, eps_angle))
     deviation = float(max(hi - common, common - lo))
     return EquiangularReport(
         metric_id=metric.id,
-        pair_count=pair_count,
+        pair_count=m * (m - 1) // 2,
         common_value=common,
         max_deviation=deviation,
         tolerance=tol,
@@ -142,13 +130,11 @@ def check_equiisoclinic(family: SubspaceFamily, tol: float = 1e-8) -> Equiisocli
     m = len(family)
     if m < 2:
         raise FamilyTooSmallError(f"equi-isoclinicity needs at least 2 members, got {m}")
-    total, lo, hi = _pair_stats(family.reps, lambda i, j, a, b: cosines(np.swapaxes(a, -1, -2) @ b) ** 2)
-    pair_count = m * (m - 1) // 2
-    lam = total / (family.k * pair_count)
+    lam, lo, hi = pair_stats(family.reps, lambda i, j, a, b: cosines(np.swapaxes(a, -1, -2) @ b) ** 2)
     deviation = float(max(hi - lam, lam - lo))
     return EquiisoclinicReport(
         lam=lam,
-        pair_count=pair_count,
+        pair_count=m * (m - 1) // 2,
         max_deviation=deviation,
         tolerance=tol,
         verdict=deviation <= tol,
@@ -198,7 +184,7 @@ def polynomial_certificate(
 
     diag = entries(np.arange(m), np.arange(m), reps, reps)
     max_diag_deviation = float(np.abs(diag - target).max())
-    _, lo, hi = _pair_stats(reps, entries)  # each pair i < j once
+    _, lo, hi = pair_stats(reps, entries)  # each pair i < j once
     max_offdiag = float(max(0.0, hi, -lo))  # 0.0 for no pairs, and never -0.0
     bound = bound_angle_distance(k, family.n)
     scaled = tol * (1.0 + abs(1.0 - lam) ** k)

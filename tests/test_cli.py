@@ -12,7 +12,6 @@ from grasspack.cli import CONSTRUCTIONS, build_parser, main
 from grasspack.family_io import (
     dumps_json,
     family_to_doc,
-    lineset_to_doc,
     load_family,
     load_lineset,
     parse_family_doc,
@@ -165,9 +164,8 @@ def _first_members(path, count):
 
 def _reloaded_bytes(path) -> bytes:
     """The file's bytes after loading it and dumping what was loaded."""
-    if json.loads(path.read_text())["kind"] == "lines":
-        return dumps_json(lineset_to_doc(load_lineset(path))).encode()
-    return dumps_json(family_to_doc(load_family(path))).encode()
+    load = load_lineset if json.loads(path.read_text())["kind"] == "lines" else load_family
+    return dumps_json(family_to_doc(load(path))).encode()
 
 
 def test_construct_args_cover_every_kind():

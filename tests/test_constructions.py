@@ -26,6 +26,7 @@ from grasspack.linalg import EPS_ORTH
 from grasspack.metrics import evaluate
 from grasspack.packing import PackingProblem, perturb, solve
 from grasspack.registry import CHORDAL, FUBINI_STUDY
+from grasspack.verify import check_equiangular
 
 from _oracles import complement, plucker_embed, projection_matrix, sign_fix_reference
 
@@ -161,7 +162,7 @@ def test_lineset_unit_rule_is_the_family_rule_for_k_1(scale, accepted):
     if accepted:
         assert lift_lines_to_subspaces(LineSet(vectors), 2).k == 2
     else:
-        with pytest.raises(ValueError, match="unit norm"):
+        with pytest.raises(ValueError, match=r"member \d: representative is not orthonormal"):
             LineSet(vectors)
 
 
@@ -175,7 +176,7 @@ def test_every_accepted_lineset_lifts():
     for bad in (math.nan, math.inf):
         vectors = simplex_lines(3).vectors.copy()
         vectors[1, 2] = bad
-        with pytest.raises(ValueError, match="unit norm"):
+        with pytest.raises(ValueError, match="member 1: representative is not orthonormal"):
             LineSet(vectors)
 
 
@@ -390,6 +391,34 @@ def test_plucker_line_family_equals_memberwise_embedding(monkeypatch, entries):
     assert np.array_equal(plucker_line_family(sub).vectors, sign_fix_reference(phis.T).T)
 
 
+def test_plucker_line_family_checks_its_input_once(monkeypatch):
+    # the input check reads the members' k x k determinants: a family that fails it
+    # builds no LineSet, and one that passes it builds one, whose scan is the only
+    # one over Pluecker vectors
+    built, scanned = [], []
+    real_lineset, real_pair_stats = constructions.LineSet, constructions.pair_stats
+
+    def counting_lineset(*args, **kwargs):
+        built.append(args[0].shape)
+        return real_lineset(*args, **kwargs)
+
+    def recording_pair_stats(reps, values):
+        scanned.append(reps.shape)
+        return real_pair_stats(reps, values)
+
+    family = lift_lines_to_subspaces(simplex_lines(2), 2)  # FS cosines 1/4 and 1/2
+    monkeypatch.setattr(constructions, "LineSet", counting_lineset)
+    monkeypatch.setattr(constructions, "pair_stats", recording_pair_stats)
+    with pytest.raises(NotEquiangularError, match=r"^input family is not Fubini-Study-equiangular: "
+                       r"\|det\(U_i\^T U_j\)\| spread 1.250e-01 exceeds 1.0e-08$"):
+        plucker_line_family(family)
+    assert (built, scanned) == ([], [(9, 4, 2)])
+    scanned.clear()
+    image = plucker_line_family(SubspaceFamily(family.reps[:3]))  # one shared slot: equiangular
+    assert image.common_cos == pytest.approx(0.5, abs=1e-12)
+    assert (built, scanned) == ([(3, 6)], [(3, 4, 2), (3, 6, 1)])
+
+
 def test_plucker_line_family_rejects_non_equiangular():
     family = lift_lines_to_subspaces(simplex_lines(2), 2)
     with pytest.raises(NotEquiangularError):
@@ -480,6 +509,44 @@ def test_family_scan_memory_does_not_grow_with_n():
         tracemalloc.stop()
     # one 3000 x 3000 projector alone takes 72 MB
     assert peak < 8 * 2**20
+
+
+def test_lineset_scan_memory_does_not_grow_with_the_set():
+    # common |cos| streams through pair_stats: no N x N Gram of 2 000 lines (32 MB alone)
+    vectors = np.random.default_rng(29).standard_normal((2000, 3))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotEquiangularError, match="line set is not equiangular"):
+            LineSet(vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_lineset_rejects_repeated_and_near_lines():
+    # a repeated line fails the family's distinctness scan, as in a line file; lines
+    # 1.2e-10 rad apart are distinct, but their |cos| rounds to 1
+    with pytest.raises(ValueError, match="^family members 0 and 1 coincide$"):
+        LineSet([[0.6, 0.8], [0.6, 0.8]])
+    with pytest.raises(ValueError, match="^family members 1 and 4 coincide$"):
+        LineSet(simplex_lines(3).vectors[[0, 1, 2, 3, 1]])
+    near = [[math.cos(t), math.sin(t)] for t in (math.pi / 8, math.pi / 8 + 1.2e-10)]
+    with pytest.raises(ValueError, match=r"^common_cos must lie in \[0, 1\), got 1.0$"):
+        LineSet(near)
+
+
+def test_a_line_set_is_a_family():
+    lines = simplex_lines(3)
+    assert isinstance(lines, SubspaceFamily)
+    assert lines.reps.shape == (4, 3, 1) and not lines.reps.flags.writeable
+    assert np.shares_memory(lines.vectors, lines.reps)
+    report = check_equiangular(lines, "thetaK")
+    assert report.verdict
+    assert report.common_value == pytest.approx(math.acos(1.0 / 3.0), abs=1e-12)
+    complement = complement_family(icosahedral_lines())
+    assert (len(complement), complement.k, complement.n) == (6, 2, 3)
 
 
 PLANES = np.eye(3)[:, :2]

@@ -12,14 +12,12 @@ from grasspack.family_io import (
     dumps_json,
     family_to_doc,
     format_float,
-    lineset_to_doc,
     load_family,
     load_lineset,
     parse_family_doc,
     parse_lineset_doc,
     read_json,
     save_family,
-    save_lineset,
     save_packing_result,
 )
 from grasspack.linalg import orthonormalize
@@ -103,7 +101,7 @@ def test_dumps_json_is_valid_and_deterministic(family):
 
 def test_lines_round_trip(tmp_path, lines):
     path = tmp_path / "lines.json"
-    save_lineset(path, lines)
+    save_family(path, lines)
     back = load_lineset(path)
     assert back.size == lines.size
     np.testing.assert_array_equal(back.vectors, lines.vectors)
@@ -112,11 +110,34 @@ def test_lines_round_trip(tmp_path, lines):
 
 def test_lines_file_round_trips_its_metadata(tmp_path, lines):
     first, second = tmp_path / "first.json", tmp_path / "second.json"
-    save_lineset(first, lines)
+    save_family(first, lines)
     metadata = json.loads(first.read_text())["metadata"]
     assert metadata == {"common_cos": lines.common_cos, "construction": "simplex-lines", "n": 3}
-    save_lineset(second, load_lineset(first))
+    save_family(second, load_lineset(first))
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_a_line_set_saves_as_a_line_file(tmp_path):
+    # the file README shows for `grasspack construct simplex-lines n=2 -o lines.json`
+    path = tmp_path / "lines.json"
+    save_family(path, simplex_lines(2))
+    assert path.read_text() == """{
+  "schema_version": "1",
+  "kind": "lines",
+  "n": 2,
+  "k": 1,
+  "members": [
+    [0.70710678118654746, 0.70710678118654746],
+    [-0.96592582628906831, 0.25881904510252079],
+    [0.25881904510252079, -0.96592582628906831]
+  ],
+  "metadata": {
+    "common_cos": 0.5,
+    "construction": "simplex-lines",
+    "n": 2
+  }
+}
+"""
 
 
 def test_family_round_trip_reproduces_projectors(tmp_path, family):
@@ -132,7 +153,7 @@ def test_family_round_trip_reproduces_projectors(tmp_path, family):
 
 def test_lines_file_loads_as_gr1_family(tmp_path, lines):
     path = tmp_path / "lines.json"
-    save_lineset(path, lines)
+    save_family(path, lines)
     fam = load_family(path)
     assert (fam.k, fam.n) == (1, 3)
     assert len(fam) == 4
@@ -147,7 +168,7 @@ def test_metadata_preserved(tmp_path, family):
 
 
 def test_unknown_schema_version_rejected(tmp_path, lines):
-    doc = lineset_to_doc(lines)
+    doc = family_to_doc(lines)
     doc["schema_version"] = "2"
     path = tmp_path / "bad.json"
     path.write_text(dumps_json(doc))
@@ -156,7 +177,7 @@ def test_unknown_schema_version_rejected(tmp_path, lines):
 
 
 def test_bad_kind_rejected(tmp_path, lines):
-    doc = lineset_to_doc(lines)
+    doc = family_to_doc(lines)
     doc["kind"] = "planes"
     path = tmp_path / "bad.json"
     path.write_text(dumps_json(doc))
@@ -165,7 +186,7 @@ def test_bad_kind_rejected(tmp_path, lines):
 
 
 def test_lines_kind_requires_k1(tmp_path, lines):
-    doc = lineset_to_doc(lines)
+    doc = family_to_doc(lines)
     doc["k"] = 2
     path = tmp_path / "bad.json"
     path.write_text(dumps_json(doc))

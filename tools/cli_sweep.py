@@ -39,7 +39,8 @@ ACOS_1_3 = "1.2309594173407747"  # the common angle of simplex_lines(3) and its 
 # family, three files that declare 10^6 x 10^6 members, a family of planes
 # in R^4 that mixes orthonormal members with sloppy ones the reader cleans,
 # four files whose first bad member follows a good or a sloppy one, a file
-# that is not JSON, three packing problems, two pairs of lines of R^2
+# that is not JSON, three packing problems, lines of R^2 at 0, 30 and 90
+# degrees (a line file that is not equiangular), two pairs of lines of R^2
 # near the distinctness rule (every principal angle at most 1e-10 rad):
 # 1.2e-10 rad apart in a frame turned by pi/8, and 0.9e-10 rad apart, two
 # members at tiny but distinct angles (planes of R^4 at principal angles
@@ -127,6 +128,10 @@ INPUTS = {
         "min_separation": 0.3, "seed": 1, "restarts": 2, "max_iters": 300,
     },
     "bad-problem.json": {"k": 1, "n": 2, "m": 1, "metric": "thetaK"},
+    "skew-lines.json": {
+        "schema_version": "1", "kind": "lines", "n": 2, "k": 1,
+        "members": [[math.cos(t), math.sin(t)] for t in (0.0, math.pi / 6, math.pi / 2)],
+    },
     "near-lines.json": _line_pair(math.pi / 8, 1.2e-10),
     "twin-lines.json": _line_pair(0.0, 0.9e-10),
     "planted-planes.json": {
@@ -177,6 +182,13 @@ def _commands() -> list[list[str]]:
         ["construct", "lift", "k=2", "in=lift.json", "-o", "x.json"],
         ["construct", "chordal-lift", f"in={NOT_JSON}", "-o", "x.json"],
         ["construct", "plucker", "in=lift.json", "-o", "x.json"],
+        # a 343-member Gr(3,18) lift that is not Fubini-Study-equiangular
+        ["construct", "simplex-lines", "n=6", "-o", "lines6.json"],
+        ["construct", "lift", "k=3", "in=lines6.json", "-o", "lift6.json"],
+        ["construct", "plucker", "in=lift6.json", "-o", "x.json"],
+        # line files that are not equiangular, and lines whose |cos| rounds to 1
+        ["construct", "lift", "k=2", "in=skew-lines.json", "-o", "x.json"],
+        ["construct", "lift", "k=2", "in=near-lines.json", "-o", "x.json"],
         ["construct", "plucker", "in=empty.json", "-o", "x.json"],
         ["construct", "simplex-lines", "n=2", "-o", "missing-dir/x.json"],
         ["construct", "simplex-lines", "n=2"],
