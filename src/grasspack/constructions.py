@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import AngleZeroError, FamilyTooSmallError, NotEquiangularError
 from .grassmann import (
-    PAIR_CHUNK_ENTRIES, Subspace, complements, pair_chunks, pair_stats, sign_fix_columns, spectra
+    PAIR_CHUNK_ENTRIES, Subspace, abs_cross_det, complements, pair_chunks, pair_stats, sign_fix_columns,
+    spectra,
 )
 from .linalg import EPS_ORTH, check_tolerance, orthonormality_residuals, orthonormalize_stack
 
@@ -27,14 +28,9 @@ _COINCIDENT_SLACK = 1e-6
 
 
 def _common_abs_det(reps: np.ndarray, tol: float, failure: str) -> float:
-    """The mean |det(U_i^T U_j)| over distinct pairs of a stack (0 for one member): |<u, v>|
-    for lines, |<phi(U_i), phi(U_j)>| of the Pluecker vectors for k > 1; NotEquiangularError,
-    its message led by `failure`, when a pair's value deviates from it by more than tol."""
-    def abs_det(i, j, a, b):
-        cross = np.swapaxes(a, -1, -2) @ b
-        return np.abs(cross[..., 0, 0] if cross.shape[-1] == 1 else np.linalg.det(cross))
-
-    common, lo, hi = pair_stats(reps, abs_det)
+    """Mean `abs_cross_det` of a stack's distinct pairs (0 for one member); NotEquiangularError,
+    led by `failure`, when a pair's value deviates from it by more than tol."""
+    common, lo, hi = pair_stats(reps, lambda i, j, a, b: abs_cross_det(a, b))
     spread = float(max(hi - common, common - lo))
     if spread > tol:
         raise NotEquiangularError(f"{failure} spread {spread:.3e} exceeds {tol:.1e}")

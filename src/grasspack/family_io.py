@@ -4,9 +4,9 @@ Files carry schema_version "1", a kind ("lines" or "subspaces"), the (n, k)
 shape, the members as row-major nested lists, and a free-form metadata map.
 `family_to_doc` and `save_family` write every family; a LineSet, a k = 1
 family, as kind "lines" with its measured common_cos first in the metadata.
-`save_packing_result` writes the "packing_result" file of `grasspack pack`
-(the problem, the run and the family doc under its "family" key), and the
-readers take it as that family doc.
+`load_family` reads a `grasspack pack` result as its "family" doc, and
+`load_lineset` a "lines" file as a LineSet, checked once; any file that
+holds none, lines that are not equiangular too, raises ParseError.
 Floats are emitted with 17 significant digits and -0.0 as ``-0.0``, so
 writing and re-reading a file reproduces every double bit-for-bit.  A float
 with an integral value is written as a JSON integer (``1``, ``0``); the
@@ -206,17 +206,17 @@ def save_packing_result(path, problem: PackingProblem, result: PackingResult) ->
     Path(path).write_text(dumps_json(doc), encoding="utf-8")
 
 
-def _parse_members(kind: str, n: int, k: int, entries: list, metadata: dict) -> SubspaceFamily:
+def _parse_members(kind: str, n: int, k: int, entries: list, metadata: dict, lines: bool = False):
     import numpy as np
 
-    from .constructions import SubspaceFamily
+    from .constructions import LineSet, SubspaceFamily
 
     # in file order, so the first bad member names the error; the stack is
     # sized by the members read, never by the declared n and k alone
     members = [_member(entry, n, k, kind, index) for index, entry in enumerate(entries)]
     reps = np.stack(members) if members else np.empty((0, n, k))
     try:
-        return SubspaceFamily(reps, metadata)
+        return LineSet(reps[:, :, 0], 1e-8, metadata) if lines else SubspaceFamily(reps, metadata)
     except (GrasspackError, ValueError) as exc:
         raise ParseError(str(exc)) from None
 
@@ -224,16 +224,13 @@ def _parse_members(kind: str, n: int, k: int, entries: list, metadata: dict) -> 
 def parse_lineset_doc(doc) -> LineSet:
     """Build a LineSet from a doc of kind 'lines', checking equiangularity.
 
-    The members load as a Gr(1, n) family, so a line file gets the same
-    checks and normalization as any other; the set keeps the file's metadata.
+    The members are read as for any other file and checked once, by the
+    LineSet, which keeps the file's metadata; each failure is a ParseError.
     """
-    from .constructions import LineSet
-
     kind, *rest = _validate_doc(doc)
     if kind != KIND_LINES:
         raise ParseError(f"expected kind 'lines', got {kind!r}")
-    family = _parse_members(kind, *rest)
-    return LineSet(family.reps[:, :, 0], tol=1e-8, metadata=family.metadata)
+    return _parse_members(kind, *rest, lines=True)
 
 
 def read_json(path):

@@ -7,12 +7,13 @@ cross-Grams U^T V, the sines those of the residuals V - U U^T V, and each
 angle is read as arctan2(sine, cosine), which keeps full accuracy from the
 smallest angles to pi/2 (Bjorck & Golub 1973; Knyazev & Argentati 2002).
 `cross_residual` forms both stacks; the chordal distance reads the
-residuals' Frobenius norms from it without taking angles.  Every family
-scan (member distinctness, the equiangular and equi-isoclinic checks and
-the determinant certificate) visits the m(m-1)/2 member pairs through
-`pair_chunks`, a bounded chunk at a time, so no scan holds more than
-PAIR_CHUNK_ENTRIES entries per representative stack; `pair_stats` reduces
-a per-pair value over those chunks.
+residuals' Frobenius norms from it without taking angles.  `abs_cross_det`
+gives |det(A^T B)| to Fubini-Study, a line set's common |cos| and the
+Pluecker input check.  Every family scan (member distinctness, the
+equiangular and equi-isoclinic checks and the determinant certificate)
+visits the m(m-1)/2 member pairs through `pair_chunks`, a bounded chunk at
+a time, so no scan holds more than PAIR_CHUNK_ENTRIES entries per
+representative stack; `pair_stats` reduces a per-pair value over those chunks.
 """
 
 from __future__ import annotations
@@ -147,6 +148,13 @@ def cosines(cross) -> np.ndarray:
     if (cos > 1.0 + CLAMP_SLACK + cross.shape[-1] * EPS_ORTH).any():
         raise ClampError(f"cosine {float(cos.max())!r} is too far above 1 to be roundoff")
     return cos
+
+
+def abs_cross_det(a, b) -> np.ndarray:
+    """|det(A^T B)| of every pair in two broadcasting (..., n, k) stacks; |a^T b| for lines."""
+    cross = np.swapaxes(np.asarray(a, dtype=float), -1, -2) @ b
+    # LAPACK's LU returns a 1 x 1 matrix's entry: skipping the call saves its overhead
+    return np.abs(cross[..., 0, 0] if cross.shape[-1] == 1 else np.linalg.det(cross))
 
 
 def spectra(a, b) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grassmann import Subspace, cross_residual, require_same_grassmannian, spectra
+from .grassmann import Subspace, abs_cross_det, cross_residual, require_same_grassmannian, spectra
 from .linalg import EPS_ANGLE, check_eps_angle
 from .registry import get_metric
 
@@ -63,9 +63,7 @@ def pair_distances(metric, a, b, eps_angle: float = EPS_ANGLE):
     """
     metric = get_metric(metric)
     if metric.id == "fubini_study":
-        cross = np.swapaxes(np.asarray(a, dtype=float), -1, -2) @ b
-        # LAPACK's LU returns a 1 x 1 matrix's entry: skipping the call pays for the near test
-        det = np.abs(cross[..., 0, 0] if cross.shape[-1] == 1 else np.linalg.det(cross))
+        det = abs_cross_det(a, b)
         near = det > np.cos(np.pi / 4)
         dist = np.asarray(np.arccos(np.minimum(det, 1.0)))  # the near entries are replaced below
         if near.any():

@@ -1,9 +1,9 @@
 """Equiangularity and equi-isoclinicity checkers and the determinant certificate.
 
-All three reduce a per-pair value with `grassmann.pair_stats`.  The
-equi-isoclinic deviation is a spectral norm, which does not depend on
-the members' bases.  The size bounds, in exact integer arithmetic, are in
-`bounds`."""
+All three reduce a per-pair value with `grassmann.pair_stats`; the
+equi-isoclinic deviation is a basis-free spectral norm.  A certificate
+fails where its diagonal target is within its tolerance of zero.  The size
+bounds, in exact integer arithmetic, are in `bounds`."""
 
 from __future__ import annotations
 
@@ -70,9 +70,10 @@ class Certificate:
     and 0 elsewhere, which forces the f_i to be linearly independent inside a
     space of dimension C(C(n+1,2) + k - 1, k).  For orthonormal members
     f_j(P_i) = f_i(P_j), so each pair i < j is evaluated once and the lower
-    triangle mirrors the upper.  The matrix is kept only for
-    m <= EVAL_MATRIX_MAX (None above that); the maxima cover the diagonal and
-    every pair, so they reduce the kept matrix exactly.
+    triangle mirrors the upper.  The matrix is kept only for m <= EVAL_MATRIX_MAX
+    (None above that); the maxima cover the diagonal and every pair, so they
+    reduce the kept matrix exactly.  The verdict needs both maxima at most
+    tolerance = tol (1 + (1 - lambda)^k) < diagonal_target, and m <= bound.
     """
 
     m: int
@@ -188,7 +189,7 @@ def polynomial_certificate(
     max_offdiag = float(max(0.0, hi, -lo))  # 0.0 for no pairs, and never -0.0
     bound = bound_angle_distance(k, family.n)
     scaled = tol * (1.0 + abs(1.0 - lam) ** k)
-    verdict = max_diag_deviation <= scaled and max_offdiag <= scaled and m <= bound
+    verdict = max_diag_deviation <= scaled < target and max_offdiag <= scaled and m <= bound
     return Certificate(
         m=m,
         alpha=alpha,

@@ -143,6 +143,24 @@ def test_construct_plucker_empty_family_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "members, message",
+    [
+        ([[math.cos(t), math.sin(t)] for t in (0.0, math.pi / 6, math.pi / 2)],
+         "line set is not equiangular: |<u,v>| spread 4.553e-01 exceeds 1.0e-08"),
+        ([[math.cos(math.pi / 8 + t), math.sin(math.pi / 8 + t)] for t in (0.0, 1.2e-10)],
+         "common_cos must lie in [0, 1), got 1.0"),
+    ],
+    ids=["skew", "near"],
+)
+def test_construct_lift_of_a_file_without_a_line_set_exit_2(tmp_path, capsys, members, message):
+    src, out = tmp_path / "lines.json", tmp_path / "lift.json"
+    src.write_text(json.dumps({"schema_version": "1", "kind": "lines", "n": 2, "k": 1, "members": members}))
+    assert main(["construct", "lift", "k=2", f"in={src}", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # every construct kind's parameters (a lift of the n = 2 simplex lines, and its
 # first three members: they share a slot, so they are FS-equiangular)
 CONSTRUCT_ARGS = {

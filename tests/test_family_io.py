@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from grasspack.constructions import SubspaceFamily, lift_lines_to_subspaces, simplex_lines
+from grasspack import constructions, grassmann
+from grasspack.constructions import LineSet, SubspaceFamily, lift_lines_to_subspaces, simplex_lines
 from grasspack.errors import ParseError
 from grasspack.family_io import (
     dumps_json,
@@ -20,6 +21,7 @@ from grasspack.family_io import (
     save_family,
     save_packing_result,
 )
+from grasspack.grassmann import pair_chunks
 from grasspack.linalg import orthonormalize
 
 from _oracles import projection_matrix
@@ -446,6 +448,52 @@ def test_degenerate_lines_rejected(tmp_path, members, message):
     path.write_text(dumps_json(doc))
     with pytest.raises(ParseError, match=message):
         load_lineset(path)
+
+
+def test_a_line_file_is_checked_once(tmp_path, monkeypatch, lines):
+    # one orthonormality check, one distinctness scan and one common-|cos| scan:
+    # two passes over the member pairs
+    path = tmp_path / "lines.json"
+    save_family(path, lines)
+    family = load_family(path)
+    # the same lines checked twice: as a family, then as a LineSet of its vectors
+    reference = LineSet(family.reps[:, :, 0], tol=1e-8, metadata=family.metadata)
+    passes = []
+
+    def counted(reps):
+        passes.append(reps.shape)
+        return pair_chunks(reps)
+
+    monkeypatch.setattr(grassmann, "pair_chunks", counted)
+    monkeypatch.setattr(constructions, "pair_chunks", counted)
+    loaded = load_lineset(path)
+    assert passes == [(4, 3, 1), (4, 3, 1)]
+    assert loaded.vectors.tobytes() == reference.vectors.tobytes() == lines.vectors.tobytes()
+    assert loaded.common_cos == reference.common_cos == lines.common_cos
+    assert loaded.metadata == reference.metadata == lines.metadata
+
+
+LINE_FILES_WITHOUT_A_LINE_SET = {
+    # lines of R^2 at 0, 30 and 90 degrees
+    "skew": ([[math.cos(t), math.sin(t)] for t in (0.0, math.pi / 6, math.pi / 2)],
+             "line set is not equiangular: |<u,v>| spread 4.553e-01 exceeds 1.0e-08"),
+    # distinct lines 1.2e-10 rad apart, whose |cos| rounds to 1
+    "near": ([[math.cos(math.pi / 8 + t), math.sin(math.pi / 8 + t)] for t in (0.0, 1.2e-10)],
+             "common_cos must lie in [0, 1), got 1.0"),
+    "empty": ([], "expected an (N, n) vector array, got (0, 2)"),
+}
+
+
+@pytest.mark.parametrize("case", LINE_FILES_WITHOUT_A_LINE_SET)
+def test_a_line_file_without_a_line_set_raises_parse_error(tmp_path, case):
+    members, message = LINE_FILES_WITHOUT_A_LINE_SET[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps({"schema_version": "1", "kind": "lines", "n": 2, "k": 1, "members": members}))
+    with pytest.raises(ParseError) as caught:
+        load_lineset(path)
+    assert str(caught.value) == message
+    # the file still loads as a family of lines
+    assert len(load_family(path)) == len(members)
 
 
 @pytest.mark.parametrize("k, n", [(1, 3), (2, 4)])

@@ -328,6 +328,27 @@ def test_certificate_alpha_zero_rejected(lift9):
             polynomial_certificate(lift9, alpha)
 
 
+@pytest.mark.parametrize("alpha", [0.02, 0.003])
+def test_certificate_fails_where_its_target_is_within_its_tolerance(alpha):
+    # members of Gr(3, 6) at principal angles (0.001, 0.002, 0.003): every entry of the
+    # evaluation matrix lies within the tolerance, so the structure shows nothing
+    angles = np.array([0.001, 0.002, 0.003])
+    u = np.vstack([np.eye(3), np.zeros((3, 3))])
+    v = np.vstack([np.diag(np.cos(angles)), np.diag(np.sin(angles))])
+    cert = polynomial_certificate(SubspaceFamily(np.stack([u, v])), alpha)
+    lam = math.cos(alpha) ** 2
+    assert (cert.m, cert.alpha, cert.lam, cert.bound) == (2, alpha, lam, bound_angle_distance(3, 6))
+    assert cert.diagonal_target == (1.0 - lam) ** 3 == pytest.approx(math.sin(alpha) ** 6, rel=1e-9)
+    assert cert.tolerance == 1e-8 * (1.0 + cert.diagonal_target)
+    assert cert.max_diag_deviation <= 1e-20
+    # f_0(P_1) = det(C C^T - lambda I) with C = diag(cos angles)
+    assert cert.max_offdiag == pytest.approx(abs(np.prod(np.cos(angles) ** 2 - lam)), rel=1e-6, abs=1e-20)
+    # the entry test alone passes: only the target at or below the tolerance fails it
+    assert max(cert.max_diag_deviation, cert.max_offdiag) <= cert.tolerance
+    assert cert.diagonal_target <= cert.tolerance
+    assert cert.verdict is False
+
+
 def test_certificate_sound_on_catalog_families(simplex_family, lift9):
     icosa = lift_lines_to_subspaces(icosahedral_lines(), 1)
     cases = [

@@ -46,11 +46,13 @@ ACOS_1_3 = "1.2309594173407747"  # the common angle of simplex_lines(3) and its 
 # members at tiny but distinct angles (planes of R^4 at principal angles
 # 2e-9 and 5e-9, and lines of R^2 1e-8 rad apart), two members of
 # Gr(120, 240) 1e-6 rad apart that are orthonormal only within 0.95e-10
-# (their cosines reach 1 + 1.14e-8), and three documents nested too deeply
-# for Python's recursion limit: a family file and a packing problem nested
-# 200 000 lists deep, which `json.loads` cannot parse, and the planes above
-# with metadata nested 600 lists deep, which load but which a file derived
-# from them cannot write.
+# (their cosines reach 1 + 1.14e-8), two members of Gr(3, 6) at principal
+# angles 0.001, 0.002 and 0.003 (whose certificates at alpha = 0.02 and
+# 0.003 have their diagonal targets below their tolerances), and three
+# documents nested too deeply for Python's recursion limit: a family file
+# and a packing problem nested 200 000 lists deep, which `json.loads`
+# cannot parse, and the planes above with metadata nested 600 lists deep,
+# which load but which a file derived from them cannot write.
 OVERSIZE = {"oversize-1x1.json": [[[1.0]]], "oversize-scalars.json": [1, 2, 3], "oversize-none.json": []}
 PLANE = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
 SLOPPY_PLANE = [[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]]
@@ -144,6 +146,14 @@ INPUTS = {
     },
     "tiny-lines.json": _line_pair(0.0, 1e-8),
     "loose-pair.json": _loose_pair(120, 0.95e-10, 1e-6),
+    "close-planes.json": {
+        "schema_version": "1", "kind": "subspaces", "n": 6, "k": 3,
+        "members": [
+            [[float(i == j) for j in range(3)] for i in range(6)],
+            [[math.cos(t) * (i == j) + math.sin(t) * (i == j + 3) for j, t in enumerate((1e-3, 2e-3, 3e-3))]
+             for i in range(6)],
+        ],
+    },
 }
 INPUTS["deep-metadata.json"] = dict(INPUTS["planes.json"], metadata={"nested": _nested_lists(600)})
 NOT_JSON = "not-json.json"
@@ -280,6 +290,9 @@ def _commands() -> list[list[str]]:
           for argv in (["angles", "loose-pair.json", "0", "1", *fmt],
                        ["distance", "loose-pair.json", "chordal", "0", "1", *fmt],
                        *(["verify", "loose-pair.json", metric, *fmt] for metric in ("thetaF", "fubini-study")))),
+        # certificates whose diagonal target lies below their tolerance
+        *(["certify", "close-planes.json", "--alpha", alpha, *fmt] for alpha in ("0.02", "0.003")
+          for fmt in FORMATS),
         # a bound with more digits than Python's int-to-str limit allows
         *(["bounds", "2000", "4000", *fmt] for fmt in FORMATS),
     ]
