@@ -198,11 +198,16 @@ def parse_family_doc(doc) -> SubspaceFamily:
 
 
 def save_packing_result(path, problem: PackingProblem, result: PackingResult) -> None:
-    """Write a pack run as a 'packing_result' file, which parse_family_doc reads."""
+    """Write a pack run as a 'packing_result' file, which parse_family_doc reads.
+
+    The "restarts" object holds one list per PackingResult restart field,
+    indexed by restart."""
+    names = ("values", "iterations", "accepted", "rejected_rank", "rejected_separation", "polished")
+    restarts = {name: list(getattr(result, f"restart_{name}")) for name in names}
     doc = {"schema_version": SCHEMA_VERSION, "kind": KIND_PACKING_RESULT,
            "problem": problem.to_dict(), "objective_value": result.objective_value,
            "best_iteration": result.best_iteration, "history": result.history,
-           "family": family_to_doc(result.family)}
+           "restarts": restarts, "family": family_to_doc(result.family)}
     Path(path).write_text(dumps_json(doc), encoding="utf-8")
 
 

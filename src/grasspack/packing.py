@@ -4,7 +4,19 @@ One annealing move perturbs a single member and re-orthonormalizes; the
 maximin objective is smoothed with a soft-min whose sharpness follows the
 temperature schedule, while the best-so-far bookkeeping always uses the true
 objective.  The step and temperature schedules are the module constants STEP
-and TEMPERATURE, not problem fields.
+and TEMPERATURE, not problem fields; they run over the moves the anneal makes.
+
+The variance objective anneals for max_iters moves.  The maximin objective
+anneals for ceil(max_iters / ANNEAL_DIVISOR) moves, the global search, and
+then polishes every restart's best at once by soft-min ascent on the
+(R, m, n, k) stack for min(POLISH_STEPS, max_iters) steps (`_polish`), which
+climbs further than the annealer's long tail of rejected moves would.  A
+polished restart replaces its annealed best only if its true objective rose,
+every retraction kept full rank and its smallest pair distance meets the
+separation floor; `solve` then picks the best restart.  A restart's history
+lists (iteration, value) at each improvement of its best; a kept polish adds
+one last entry at the anneal's length plus the polish steps, which is then
+the restart's best iteration.
 
 A problem holds nine fields of JSON types: integers for k, n, m, seed,
 restarts and max_iters, a number for min_separation and strings for metric
@@ -42,22 +54,23 @@ never the result.
 Restart r draws only from its own `default_rng([seed, r])`: first its m
 initial members as one (m, n, k) normal draw, then, MOVE_BLOCK iterations at
 a time, the moved member indices, the (n, k) move directions and the
-Metropolis uniforms, in that order.  No restart's arithmetic reads another
-restart's row, so a restart's result, and its counts of accepted and
-rejected moves, are bit-identical however many restarts run beside it.
+Metropolis uniforms, in that order.  No restart's arithmetic, in the anneal
+or in the polish, reads another restart's row, so a restart's result, and
+its counts of accepted and rejected moves, are bit-identical however many
+restarts run beside it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .constructions import SubspaceFamily
 from .errors import InvalidProblemError, RankDeficientError, UnknownMetricError
 from .grassmann import sign_fix_columns
-from .linalg import orthonormalize_stack
+from .linalg import EPS_ANGLE, orthonormalize_stack
 from .metrics import pair_distances
 from .registry import Metric, get_metric
 
@@ -80,6 +93,15 @@ MIN_SEPARATION = 1e-6
 
 # Moves are drawn from each restart's generator this many iterations at a time.
 MOVE_BLOCK = 256
+
+# A maximin solve anneals for ceil(max_iters / ANNEAL_DIVISOR) moves and then
+# polishes every restart for min(POLISH_STEPS, max_iters) steps of soft-min
+# ascent, whose sharpness and step length fall geometrically over
+# POLISH_BETA and POLISH_STEP.
+ANNEAL_DIVISOR = 10
+POLISH_STEPS = 500
+POLISH_BETA = (10.0, 1e9)
+POLISH_STEP = (0.1, 1e-7)
 
 # A pass scores at most this many consecutive iterations.  A wider window
 # costs less per slot but throws more slots away after an accept: one k = 1
@@ -169,10 +191,11 @@ class PackingProblem:
 @dataclass(frozen=True, eq=False)
 class PackingResult:
     """Best family over all restarts; `restart_values` and `restart_iterations`
-    hold each restart's best objective and the iteration that reached it, and
-    the `restart_accepted` / `restart_rejected_*` tuples count each restart's
-    moves by outcome (a move failing both checks counts as a rank rejection;
-    the rest were turned down by the Metropolis test)."""
+    hold each restart's best objective and the iteration that reached it, the
+    `restart_accepted` / `restart_rejected_*` tuples count each restart's
+    annealing moves by outcome (a move failing both checks counts as a rank
+    rejection; the rest were turned down by the Metropolis test), and
+    `restart_polished` says whether its polish was kept."""
 
     family: SubspaceFamily
     objective_value: float
@@ -183,6 +206,7 @@ class PackingResult:
     restart_accepted: tuple[int, ...]
     restart_rejected_rank: tuple[int, ...]
     restart_rejected_separation: tuple[int, ...]
+    restart_polished: tuple[bool, ...]
 
 
 def _schedule(start: float, final: float, iters: int, i: np.ndarray) -> np.ndarray:
@@ -308,11 +332,100 @@ def _anneal(problem: PackingProblem, metric: Metric):
     return best_value, best_reps, best_iteration, history, counts
 
 
+def _distance_gradient(metric: Metric, cross: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """dd/dC for each pair's distance d (`values`) under `metric`, at its cross-Gram C.
+
+    With C = Y diag(s) Z^T and d = g(s), dd/dC = Y diag(g'(s)) Z^T; for lines
+    Y = sign(C) and Z = 1, with no SVD.  Chordal, d = sqrt(k - |C|_F^2), is
+    -C / d, also with no SVD.  The angle distances differentiate the angle
+    they select (theta_F: the smallest above EPS_ANGLE, none when all are
+    zero).  Denominators are floored at MIN_SEPARATION, where a pair has
+    collapsed and the direction still pushes it apart.
+    """
+    if metric.id == "chordal":
+        return -cross / np.maximum(values, MIN_SEPARATION)[..., None, None]
+    k = cross.shape[-1]
+    if k == 1:
+        y, cos, zt = np.sign(cross), np.abs(cross[..., 0]), np.ones((1, 1))
+    else:
+        y, cos, zt = np.linalg.svd(cross)
+    cos = np.minimum(cos, 1.0)  # descending: the angles ascend
+    sin = np.maximum(np.sqrt(1.0 - cos * cos), MIN_SEPARATION)
+    if metric.id == "fubini_study":
+        # d = arccos prod(s): dd/ds_i = -prod_{j != i} s_j / sin d
+        others = np.where(np.eye(k, dtype=bool), 1.0, cos[..., None, :]).prod(axis=-1)
+        slope = -others / np.maximum(np.sin(values), MIN_SEPARATION)[..., None]
+    elif metric.id == "geodesic":
+        # d = |arccos s|: dd/ds_i = -(theta_i / sin theta_i) / d
+        slope = -(np.arccos(cos) / sin) / np.maximum(values, MIN_SEPARATION)[..., None]
+    else:
+        if metric.id == "theta_F":
+            above = np.arccos(cos) > EPS_ANGLE
+            pick = above & (np.cumsum(above, axis=-1) == 1)
+        else:
+            pick = np.arange(k) == (0 if metric.id == "theta_1" else k - 1)
+        slope = np.where(pick, -1.0 / sin, 0.0)
+    return (y * slope[..., None, :]) @ zt
+
+
+def _polish(
+    problem: PackingProblem, metric: Metric, values: np.ndarray, reps: np.ndarray, steps: int
+):
+    """`steps` of soft-min ascent from every restart's annealed best at once.
+
+    `values` and `reps` are the (R,) annealed objectives and (R, m, n, k)
+    members.  Each step ascends F = -(1/beta) log sum exp(-beta d_ij) over a
+    restart's pairs: the gradient, projected onto the tangent space, is
+    scaled to length POLISH_STEP over that restart's members alone and
+    retracted by QR.  Returns the polished objectives and members and an (R,)
+    mask of the restarts whose polish may replace the anneal's: the
+    objective rose, every retraction kept full rank and the smallest pair
+    distance meets the separation floor.
+    """
+    restarts, m, _, k = reps.shape
+    iu, ju = np.triu_indices(m, 1)
+    s = np.arange(steps)
+    ranked = np.ones(restarts, dtype=bool)
+    for beta, length in zip(_schedule(*POLISH_BETA, steps, s), _schedule(*POLISH_STEP, steps, s)):
+        a, b = reps[:, iu], reps[:, ju]
+        dist = pair_distances(metric, a, b)
+        # dF/dd_ij, up to a positive factor per restart that the scaling drops
+        weight = np.exp((dist.min(axis=-1, keepdims=True) - dist) * beta)[..., None, None]
+        dcross = weight * _distance_gradient(metric, np.swapaxes(a, -1, -2) @ b, dist)
+        # dF/dU_i = sum_j U_j coef[i, j]: U_j (dd/dC)^T for i < j, U_j dd/dC for i > j
+        coef = np.zeros((restarts, m, m, k, k))
+        coef[:, iu, ju] = np.swapaxes(dcross, -1, -2)
+        coef[:, ju, iu] = dcross
+        grad = (reps[:, None] @ coef).sum(axis=2)
+        grad -= reps @ (np.swapaxes(reps, -1, -2) @ grad)
+        norm = np.sqrt((grad * grad).reshape(restarts, -1).sum(axis=-1))
+        scale = length / np.maximum(norm, np.finfo(float).tiny)
+        reps, independent = orthonormalize_stack(reps + scale[:, None, None, None] * grad)
+        ranked &= independent.all(axis=-1)
+    value = pair_distances(metric, reps[:, iu], reps[:, ju]).min(axis=-1)
+    separation = max(problem.min_separation, MIN_SEPARATION)
+    return value, reps, ranked & (value > values) & (value >= separation)
+
+
 def solve(problem: PackingProblem) -> PackingResult:
-    """Best family over all restarts; ties break to the lowest restart index."""
+    """Best family over all restarts, after the maximin polish; ties break to
+    the lowest restart index."""
     metric = get_metric(problem.metric)
-    values, reps, iterations, histories, counts = _anneal(problem, metric)
-    best = int(np.argmax(values) if problem.objective == "maximin" else np.argmin(values))
+    maximin = problem.objective == "maximin"
+    anneal_iters = -(-problem.max_iters // ANNEAL_DIVISOR) if maximin else problem.max_iters
+    values, reps, iterations, histories, counts = _anneal(
+        replace(problem, max_iters=anneal_iters), metric
+    )
+    polished = np.zeros(problem.restarts, dtype=bool)
+    if maximin:
+        steps = min(POLISH_STEPS, problem.max_iters)
+        new_values, new_reps, polished = _polish(problem, metric, values, reps, steps)
+        values[polished] = new_values[polished]
+        reps[polished] = new_reps[polished]
+        iterations[polished] = anneal_iters + steps
+        for r in np.flatnonzero(polished):
+            histories[r].append((int(iterations[r]), float(values[r])))
+    best = int(np.argmax(values) if maximin else np.argmin(values))
     family = SubspaceFamily(
         sign_fix_columns(reps[best]),
         {
@@ -332,6 +445,7 @@ def solve(problem: PackingProblem) -> PackingResult:
         restart_accepted=tuple(int(c) for c in counts[0]),
         restart_rejected_rank=tuple(int(c) for c in counts[1]),
         restart_rejected_separation=tuple(int(c) for c in counts[2]),
+        restart_polished=tuple(bool(p) for p in polished),
     )
 
 

@@ -18,7 +18,10 @@ spectrum forms of the chordal and Fubini-Study distances (`chordal`,
 `fubini_study_from_spectrum`), which `metrics.pair_distances` reads from the
 residuals and, where arccos resolves it, a determinant instead.
 `loose_pair` builds two members with known principal angles that are
-orthonormal only within the member rule's bound.
+orthonormal only within the member rule's bound.  `directional_derivative`
+differentiates `metrics.pair_distances` by central differences along a
+curve of spans, the ground truth for the packer's closed-form pair
+gradients.
 """
 
 import itertools
@@ -201,6 +204,20 @@ def loose_pair(k: int, n: int, eps: float, angle: float, rng) -> np.ndarray:
     v = u.copy()
     v[:, 0] = np.cos(angle) * u[:, 0] + np.sin(angle) * q[:, k]
     return np.stack([u, v])
+
+
+def directional_derivative(metric, a, b, da, db, h: float = 1e-5) -> float:
+    """d/dt of pair_distances(metric, span(a + t da), span(b + t db)) at t = 0.
+
+    Central differences of step h; each span's basis is numpy's plain QR, since
+    the distance depends on the spans alone.
+    """
+
+    def distance(t):
+        span_a, span_b = np.linalg.qr(a + t * da)[0], np.linalg.qr(b + t * db)[0]
+        return float(pair_distances(metric, span_a, span_b))
+
+    return (distance(h) - distance(-h)) / (2.0 * h)
 
 
 def anneal_reference(problem, metric):

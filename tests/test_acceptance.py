@@ -192,7 +192,7 @@ def test_criterion_7_optimizer_recovers_known_optima():
         k=1, n=3, m=6, metric="thetaK", objective="maximin", seed=7
     )
     result_b = solve(six_lines)
-    assert result_b.objective_value >= math.acos(1.0 / math.sqrt(5.0)) - 5e-3
+    assert result_b.objective_value >= math.acos(1.0 / math.sqrt(5.0)) - 1e-6
 
     # bit-reproducibility: identical serialized families on re-run
     again_a = solve(three_lines)

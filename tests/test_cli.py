@@ -20,7 +20,7 @@ from grasspack.family_io import (
 from grasspack.constructions import SubspaceFamily
 from grasspack.errors import ParseError
 from grasspack.metrics import evaluate
-from grasspack.packing import perturb
+from grasspack.packing import PackingProblem, perturb, solve
 from grasspack.verify import check_equiisoclinic
 
 from _oracles import loose_pair, projection_matrix
@@ -761,6 +761,24 @@ def test_pack_deterministic_bytes(tmp_path, capsys):
     lines = hist.read_text().strip().splitlines()
     assert lines[0] == "iteration,value"
     assert len(lines) >= 2
+
+
+@pytest.mark.parametrize("objective", ["maximin", "equiangular_variance"])
+def test_pack_result_records_every_restart(tmp_path, objective):
+    problem = {"k": 1, "n": 3, "m": 4, "metric": "thetaK", "objective": objective,
+               "min_separation": 0.3, "seed": 2, "restarts": 3, "max_iters": 300}
+    src, out = tmp_path / "problem.json", tmp_path / "result.json"
+    src.write_text(json.dumps(problem))
+    assert main(["pack", str(src), "-o", str(out)]) == 0
+    result = solve(PackingProblem(**problem))
+    assert json.loads(out.read_text())["restarts"] == {
+        "values": list(result.restart_values),
+        "iterations": list(result.restart_iterations),
+        "accepted": list(result.restart_accepted),
+        "rejected_rank": list(result.restart_rejected_rank),
+        "rejected_separation": list(result.restart_rejected_separation),
+        "polished": [objective == "maximin"] * 3,
+    }
 
 
 def test_pack_env_seed_override(tmp_path, monkeypatch):

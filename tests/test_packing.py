@@ -1,22 +1,20 @@
 """Annealing optimizer: determinism, feasibility, known small optima."""
 
 import dataclasses
-import json
 import math
 
 import numpy as np
 import pytest
 
 from grasspack import packing
-from grasspack.constructions import lift_lines_to_subspaces, simplex_lines
+from grasspack.constructions import icosahedral_lines, lift_lines_to_subspaces, simplex_lines
 from grasspack.errors import InvalidProblemError
-from grasspack.family_io import family_to_doc
 from grasspack.grassmann import spectra
 from grasspack.metrics import evaluate, pair_distances
 from grasspack.packing import OBJECTIVES, PackingProblem, PackingResult, perturb, solve
 from grasspack.registry import METRICS, get_metric
 
-from _oracles import anneal_reference, chordal, projection_matrix
+from _oracles import anneal_reference, chordal, directional_derivative, projection_matrix
 
 
 def small_problem(**overrides):
@@ -173,27 +171,31 @@ def test_solve_orthogonal_planes_chordal():
         dict(n=3, m=5),
         dict(k=2, n=4, m=3, metric="chordal"),
         dict(objective="equiangular_variance", min_separation=0.3, m=4),
+        *(dict(k=2, n=4, m=3, metric=metric) for metric in ("thetaF", "geodesic", "fubini-study")),
     ],
-    ids=["thetaK-lines", "chordal-planes", "variance"],
+    ids=["thetaK-lines", "chordal-planes", "variance", "thetaF-planes", "geodesic-planes",
+         "fubini-study-planes"],
 )
 def test_restart_results_do_not_depend_on_restart_count(overrides):
-    # restart r draws only from its own (seed, r) stream, so running it
-    # alone or beside 1 or 4 others must not change a bit of its result
+    # restart r draws only from its own (seed, r) stream, and neither the
+    # anneal nor the polish reads another restart's row, so running it alone
+    # or beside 1 or 4 others must not change a bit of its result
     one = solve(small_problem(restarts=1, max_iters=1200, **overrides))
     two = solve(small_problem(restarts=2, max_iters=1200, **overrides))
     five = solve(small_problem(restarts=5, max_iters=1200, **overrides))
     assert len(five.restart_values) == len(five.restart_iterations) == 5
-    assert two.restart_values == five.restart_values[:2]
-    assert two.restart_iterations == five.restart_iterations[:2]
     assert two.objective_value in two.restart_values
+    assert all(five.restart_polished) == (five.family.metadata["objective"] == "maximin")
     # the windows a pass scores depend on every restart's accepts; the
     # acceptance counts must not
     for fewer in (one, two):
         r = len(fewer.restart_values)
         assert fewer.restart_values == five.restart_values[:r]
+        assert fewer.restart_iterations == five.restart_iterations[:r]
         assert fewer.restart_accepted == five.restart_accepted[:r]
         assert fewer.restart_rejected_rank == five.restart_rejected_rank[:r]
         assert fewer.restart_rejected_separation == five.restart_rejected_separation[:r]
+        assert fewer.restart_polished == five.restart_polished[:r]
     # a move counts at most once, as accepted, rejected for rank or rejected
     # for separation (a move that loses the Metropolis draw counts nowhere)
     for counts in zip(
@@ -202,80 +204,157 @@ def test_restart_results_do_not_depend_on_restart_count(overrides):
         assert sum(counts) <= 1200
 
 
-def _outcome(result):
-    """Everything a solve reports, compared bit for bit (json keeps -0.0 apart)."""
-    return (
-        json.dumps(family_to_doc(result.family)),
-        result.objective_value,
-        result.best_iteration,
-        result.history,
-        result.restart_values,
-        result.restart_iterations,
-        result.restart_accepted,
-        result.restart_rejected_rank,
-        result.restart_rejected_separation,
-    )
+def _anneal_outcome(problem, anneal):
+    """Everything an annealer returns for `problem`, as values compared bit for bit."""
+    values, reps, iterations, histories, counts = anneal(problem, get_metric(problem.metric))
+    return values.tobytes(), reps.tobytes(), iterations.tolist(), histories, counts.tolist()
 
 
-def _solve_with_reference(problem, monkeypatch):
-    """solve(problem) twice: with the windowed annealer and with the one-move reference."""
-    result = solve(problem)
-    monkeypatch.setattr(packing, "_anneal", anneal_reference)
-    return result, solve(problem)
-
-
-def _assert_counts_fit(result, max_iters):
-    for counts in zip(
-        result.restart_accepted, result.restart_rejected_rank, result.restart_rejected_separation
-    ):
-        assert sum(counts) <= max_iters
+def _assert_anneal_matches_reference(problem):
+    """The windowed annealer against the one-move reference over all max_iters moves."""
+    outcome = _anneal_outcome(problem, packing._anneal)
+    assert outcome == _anneal_outcome(problem, anneal_reference)
+    # a move counts at most once: accepted, rejected for rank or for separation
+    assert (np.sum(outcome[-1], axis=0) <= problem.max_iters).all()
+    return outcome
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 @pytest.mark.parametrize("metric", [metric.cli_name for metric in METRICS.values()])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_solve_matches_one_move_reference(k, metric, objective, monkeypatch):
-    # a pass scores a window of moves from one state; the result must be the
+def test_solve_matches_one_move_reference(k, metric, objective):
+    # a pass scores a window of moves from one state; the anneal must be the
     # one-move-at-a-time annealer's, bit for bit, counts included
     variance = objective == "equiangular_variance"
     problem = PackingProblem(
         k=k, n=2 * k + 1, m=6, metric=metric, objective=objective, seed=20 + k,
         restarts=2, max_iters=200, min_separation=0.2 if variance else packing.MIN_SEPARATION,
     )
-    result, reference = _solve_with_reference(problem, monkeypatch)
-    assert _outcome(result) == _outcome(reference)
-    _assert_counts_fit(result, problem.max_iters)
+    _assert_anneal_matches_reference(problem)
 
 
 @pytest.mark.parametrize("restarts", [1, 5])
 @pytest.mark.parametrize("max_iters", [1, 255, 256, 257, 700])
-def test_solve_matches_reference_across_move_blocks(max_iters, restarts, monkeypatch):
+def test_solve_matches_reference_across_move_blocks(max_iters, restarts):
     # windows never cross a MOVE_BLOCK boundary, so budgets around it are the edge
     problem = small_problem(n=3, m=5, seed=4, restarts=restarts, max_iters=max_iters)
-    result, reference = _solve_with_reference(problem, monkeypatch)
-    assert _outcome(result) == _outcome(reference)
-    _assert_counts_fit(result, max_iters)
-    assert sum(result.restart_accepted) > 0
+    accepted = _assert_anneal_matches_reference(problem)[-1][0]
+    assert sum(accepted) > 0
 
 
-def test_unsatisfiable_separation_rejects_every_move(monkeypatch):
+def test_unsatisfiable_separation_rejects_every_move():
     # three lines in R^2 are at most pi/3 apart, so no move clears 1.5, and
     # chordal distances of planes stay <= sqrt 2; every window then runs to
-    # its end without an accept
+    # its end without an accept, and no polish is kept (see below)
     for overrides in (
         dict(min_separation=1.5),
         dict(k=2, n=4, metric="chordal", objective="equiangular_variance", min_separation=2.0),
     ):
         problem = small_problem(restarts=2, max_iters=500, **overrides)
         result = solve(problem)
+        moves = 50 if problem.objective == "maximin" else 500  # the maximin anneal's share
         assert result.best_iteration == 0
         assert len(result.history) == 1
         assert result.restart_iterations == (0, 0)
         assert result.restart_accepted == result.restart_rejected_rank == (0, 0)
-        assert result.restart_rejected_separation == (500, 500)
-        with monkeypatch.context() as patch:
-            patch.setattr(packing, "_anneal", anneal_reference)
-            assert _outcome(solve(problem)) == _outcome(result)
+        assert result.restart_rejected_separation == (moves, moves)
+        _, _, iterations, histories, counts = _assert_anneal_matches_reference(problem)
+        assert iterations == [0, 0] and counts == [[0, 0], [0, 0], [500, 500]]
+
+
+def test_polish_below_the_separation_floor_is_not_kept():
+    # the polish lifts both restarts' minimum toward pi/3, still short of 1.5:
+    # each keeps its annealed members and value
+    problem = small_problem(restarts=2, max_iters=500, min_separation=1.5)
+    metric = get_metric(problem.metric)
+    values, reps, *_ = packing._anneal(dataclasses.replace(problem, max_iters=50), metric)
+    polished, _, kept = packing._polish(problem, metric, values, reps, 500)
+    assert (polished > values + 0.1).all() and (polished < 1.5).all()
+    assert not kept.any()
+    result = solve(problem)
+    assert result.restart_values == tuple(values)
+    assert result.restart_polished == (False, False)
+
+
+def test_polish_that_lowers_the_optimum_is_not_kept():
+    # the icosahedral lines are the optimum already; the polish's steps leave
+    # them and come back only within its last step length, so it is not kept
+    reps = icosahedral_lines().reps[None]
+    problem = PackingProblem(k=1, n=3, m=6, metric="thetaK", restarts=1)
+    metric = get_metric(problem.metric)
+    iu, ju = np.triu_indices(6, 1)
+    values = pair_distances(metric, reps[:, iu], reps[:, ju]).min(axis=-1)
+    polished, _, kept = packing._polish(problem, metric, values, reps, 500)
+    assert polished < values and not kept.any()
+
+
+@pytest.mark.parametrize("metric", [metric.cli_name for metric in METRICS.values()])
+@pytest.mark.parametrize("k", [1, 2])
+def test_polish_never_lowers_a_restart(k, metric):
+    problem = PackingProblem(
+        k=k, n=2 * k + 1, m=5, metric=metric, seed=3, restarts=3, max_iters=600
+    )
+    annealed = packing._anneal(dataclasses.replace(problem, max_iters=60), get_metric(metric))[0]
+    result = solve(problem)
+    for before, after, polished in zip(annealed, result.restart_values, result.restart_polished):
+        assert after > before if polished else after == before
+    assert any(result.restart_polished)
+
+
+@pytest.mark.parametrize("metric", [metric.cli_name for metric in METRICS.values()])
+@pytest.mark.parametrize("k", [1, 2])
+def test_distance_gradient_matches_central_differences(k, metric):
+    # the polish's Riemannian gradient (I - U U^T) dd/dU against differences of
+    # pair_distances along random directions, on pairs away from ties and from
+    # the kinks at angle 0 and at pi/2
+    rng = np.random.default_rng(40 + k)
+    metric = get_metric(metric)
+    checked = 0
+    while checked < 8:
+        a, b = (np.linalg.qr(rng.standard_normal((2 * k + 1, k)))[0] for _ in range(2))
+        angles = spectra(a, b)
+        gaps = np.diff(angles, prepend=0.0, append=np.pi / 2)
+        if gaps.min() < 0.1:
+            continue
+        dist = pair_distances(metric, a, b)
+        dcross = packing._distance_gradient(metric, a.T @ b, dist)
+        grad_a, grad_b = b @ dcross.T, a @ dcross
+        grad_a -= a @ (a.T @ grad_a)
+        grad_b -= b @ (b.T @ grad_b)
+        da, db = rng.standard_normal((2, 2 * k + 1, k))
+        expected = directional_derivative(metric, a, b, da, db)
+        assert np.sum(grad_a * da) + np.sum(grad_b * db) == pytest.approx(expected, abs=1e-7)
+        checked += 1
+
+
+def test_theta_F_gradient_follows_the_angle_it_selects():
+    # planes sharing a line: theta_F is their one nonzero angle, theta_k's angle
+    a = np.eye(4)[:, :2]
+    b = np.stack([[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.8, 0.0]], axis=1)
+    gradients = [
+        packing._distance_gradient(get_metric(name), a.T @ b, pair_distances(name, a, b))
+        for name in ("thetaF", "thetaK")
+    ]
+    np.testing.assert_array_equal(*gradients)
+    assert np.abs(gradients[0]).max() > 0.5
+
+
+@pytest.mark.parametrize(
+    "problem, optimum",
+    [
+        (PackingProblem(k=1, n=3, m=6, metric="thetaK", seed=0, restarts=4),
+         math.acos(1 / math.sqrt(5))),
+        (PackingProblem(k=2, n=4, m=6, metric="chordal", seed=1, restarts=2, max_iters=4000),
+         math.sqrt(1.2)),
+    ],
+    ids=["six-lines-thetaK", "six-planes-chordal"],
+)
+def test_polish_reaches_known_optima(problem, optimum):
+    # the two benchmark packing problems: 6 lines of R^3 at the icosahedral
+    # angle (Conway, Hardin & Sloane 1996) and 6 planes of R^4 at the simplex bound
+    result = solve(problem)
+    assert optimum - 1e-6 <= result.objective_value <= optimum + 1e-12
+    assert all(result.restart_polished)
 
 
 def test_solve_reproducible():
@@ -305,6 +384,11 @@ def test_history_is_monotone():
     iterations = [iteration for iteration, _ in result.history]
     assert iterations == sorted(iterations)
     assert result.best_iteration == iterations[-1]
+    # a polished best ends the history after the 200 annealing moves and 500 polish steps
+    assert result.restart_polished[result.restart_values.index(result.objective_value)]
+    assert result.history[-1] == (result.best_iteration, result.objective_value)
+    assert result.history[-1] == (700, values[-1])
+    assert iterations[-2] <= 200
 
     variance_result = solve(
         small_problem(
